@@ -184,19 +184,30 @@ class Catalog:
         cat.refresh(db)
         return cat
 
-    def refresh(self, db) -> None:
-        """Recompute all metadata.
+    def refresh(self, db, only=None) -> None:
+        """Recompute the metadata — all of it, or with *only* (the
+        :class:`~repro.graph.delta.RefreshReport` of an ingest) just the
+        tables, views and indexes that refresh touched, carrying every
+        other meta object forward by reference.  A report that touched
+        nothing (a zero-row ingest) changes nothing: no epoch bump, no
+        plan-cache invalidation.
 
         Builds into fresh dicts and swaps them in with single assignments,
         so concurrent readers (parallel scheduled statements) never observe
         a half-rebuilt catalog.
         """
-        tables = {
-            name: TableMeta(name, t.schema, t.num_rows, name in db.derived_tables)
-            for name, t in db.tables.items()
-        }
-        vertices: dict[str, VertexMeta] = {}
-        for name, vt in db.vertex_types.items():
+        if only is not None and not only:
+            return
+
+        def derive(prev: dict, live: dict, touched, build) -> dict:
+            return {
+                name: build(name, obj)
+                if only is None or name in touched or name not in prev
+                else prev[name]
+                for name, obj in live.items()
+            }
+
+        def vertex_meta(name: str, vt) -> VertexMeta:
             schema = vt.attribute_schema()
             distincts: dict[str, int] = {}
             for cdef in schema:
@@ -225,24 +236,34 @@ class Catalog:
                 # carry collected stats forward; column_stats() drops any
                 # entry whose row drift exceeds the staleness threshold
                 vm._stats_cache = dict(prev._stats_cache)
-            vertices[name] = vm
-        edges: dict[str, EdgeMeta] = {}
-        for name, et in db.edge_types.items():
+            return vm
+
+        def edge_meta(name: str, et) -> EdgeMeta:
             idx = db.indexes[name]
-            stats = DegreeStats(idx.forward.degrees(), idx.reverse.degrees())
-            edges[name] = EdgeMeta(
+            return EdgeMeta(
                 name,
                 et.source.name,
                 et.target.name,
                 et.attribute_schema(),
                 et.num_edges,
-                stats,
+                DegreeStats(idx.forward.degrees(), idx.reverse.degrees()),
             )
-        indexes = {
-            name: IndexMeta(name, gi.target_name, gi.kind, tuple(gi.attrs), gi.num_entries)
-            for name, gi in getattr(db, "attr_indexes", {}).items()
-        }
-        subgraphs = {
+
+        tables = derive(
+            self.tables, db.tables, only.tables if only else (),
+            lambda name, t: TableMeta(name, t.schema, t.num_rows, name in db.derived_tables),
+        )
+        vertices = derive(
+            self.vertices, db.vertex_types, only.names("vertex") if only else (), vertex_meta
+        )
+        edges = derive(self.edges, db.edge_types, only.names("edge") if only else (), edge_meta)
+        indexes = derive(
+            self.indexes, getattr(db, "attr_indexes", {}), only.indexes if only else (),
+            lambda name, gi: IndexMeta(
+                name, gi.target_name, gi.kind, tuple(gi.attrs), gi.num_entries
+            ),
+        )
+        subgraphs = self.subgraphs if only else {
             name: {k: len(v) for k, v in sg.vertices.items()}
             for name, sg in db.subgraphs.items()
         }

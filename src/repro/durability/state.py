@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.dtypes.datatypes import parse_type_name
 from repro.errors import WalError
-from repro.graph.edge_index import BidirectionalIndex
 from repro.graph.graphdb import GraphDB
 from repro.graph.subgraph import Subgraph
 from repro.graql.ast import (
@@ -281,23 +280,27 @@ def apply_record(
 ) -> None:
     """Apply one WAL record to the recovering state.
 
-    Ingest records only append rows and mark the table dirty; dependent
-    vertex/edge views rebuild lazily (:func:`flush_rebuilds`) — once
-    before the next DDL record and once at the end of replay — instead
-    of after every batch, which is what keeps replaying an ingest-heavy
-    tail linear instead of quadratic.
+    Ingest records only append rows and add the table to *dirty*; the
+    dependent views catch up in one
+    :meth:`~repro.graph.graphdb.GraphDB.refresh_dependents` call — the
+    caller's, at the end of replay, or the one made here before a DDL
+    record (view-building DDL must see fresh views).  The views keep
+    watermarks, so that call consumes every batch appended since the
+    last one in a single delta, and the canonical edge order makes the
+    result the arrays the primary built batch by batch.
     """
     kind = record.get("kind")
     data = record.get("data", {})
     if kind == KIND_DDL:
-        flush_rebuilds(db, dirty)  # view-building DDL must see fresh views
+        db.refresh_dependents(dirty)
+        dirty.clear()
         apply_ddl(db, data["source"])
     elif kind == KIND_INGEST:
         table = db.table(data["table"])
         rows = parse_table_rows(table.schema, data["csv"])
         if rows:
             table.append_rows(rows)
-        dirty.add(table.name)
+            dirty.add(table.name)
     elif kind == KIND_RESULT_TABLE:
         schema = schema_from_pairs(data["schema"])
         rows = parse_table_rows(schema, data["csv"])
@@ -314,32 +317,6 @@ def apply_record(
         raise WalError(f"unknown WAL record kind {kind!r}")
 
 
-def flush_rebuilds(db: GraphDB, dirty: set[str]) -> None:
-    """Rebuild every vertex/edge view depending on a dirty table, once."""
-    if not dirty:
-        return
-    stale_vertices = set()
-    stale_edges = set()
-    for vt in db.vertex_types.values():
-        if vt.table.name in dirty:
-            vt.refresh()
-            stale_vertices.add(vt.name)
-    for et in db.edge_types.values():
-        deps = db._edge_dependencies(et)
-        if (
-            deps & dirty
-            or et.source.name in stale_vertices
-            or et.target.name in stale_vertices
-        ):
-            et.refresh()
-            db.indexes[et.name] = BidirectionalIndex(et)
-            stale_edges.add(et.name)
-    for gi in db.attr_indexes.values():
-        if gi.target_name in stale_vertices or gi.target_name in stale_edges:
-            gi.rebuild()
-    dirty.clear()
-
-
 # ----------------------------------------------------------------------
 # State fingerprints (verification + property tests)
 # ----------------------------------------------------------------------
@@ -349,9 +326,11 @@ def state_fingerprint(
 ) -> dict[str, Any]:
     """A canonical, comparable rendering of the *complete* logical state.
 
-    Covers raw table rows *and* the derived vertex/edge views (row
-    selections, endpoint vid arrays), so two fingerprints only compare
-    equal when both storage and every rebuilt view agree — the
+    Covers raw table rows *and* the derived structures (view row
+    selections and vids, endpoint vid arrays, the eid order of both CSR
+    directions and of every attribute index), so two fingerprints only
+    compare equal when storage and every delta-maintained structure
+    agree array for array — the
     "recovered database equals a prefix of committed statements"
     invariant is asserted on this.
     """
@@ -368,20 +347,24 @@ def state_fingerprint(
         "vertices": {
             vt.name: {
                 "ddl": vertex_ddl(vt),
-                "rows": [int(r) for r in vt.rows],
+                "rows": vt.rows.tolist(),
+                "row_vids": vt.row_vids.tolist(),
             }
             for vt in db.vertex_types.values()
         },
         "edges": {
             et.name: {
                 "ddl": edge_ddl(et),
-                "src": [int(v) for v in et.src_vids],
-                "tgt": [int(v) for v in et.tgt_vids],
+                "src": et.src_vids.tolist(),
+                "tgt": et.tgt_vids.tolist(),
+                "assoc_rows": None if et.assoc_rows is None else et.assoc_rows.tolist(),
+                "forward": db.indexes[et.name].forward.eids.tolist(),
+                "reverse": db.indexes[et.name].reverse.eids.tolist(),
             }
             for et in db.edge_types.values()
         },
         "indexes": {
-            gi.name: {"ddl": index_ddl(gi), "entries": int(gi.num_entries)}
+            gi.name: {"ddl": index_ddl(gi), "ids": gi.index.vids.tolist()}
             for gi in db.attr_indexes.values()
         },
         "subgraphs": {

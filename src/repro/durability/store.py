@@ -207,7 +207,7 @@ class DurableStore:
                 self._observe_epoch(
                     int(record.get("repl", 0)), int(record.get("seq", 0))
                 )
-            st.flush_rebuilds(self.db, dirty)
+            self.db.refresh_dependents(dirty)
             self.report.records_replayed = len(scan.records)
             self.report.wal_end_reason = scan.reason
             self._seq = self.report.snapshot_seq + len(scan.records)
@@ -550,7 +550,7 @@ class DurableStore:
             dirty: set[str] = set()
             try:
                 st.apply_record(self.db, self.users, record, dirty)
-                st.flush_rebuilds(self.db, dirty)
+                self.db.refresh_dependents(dirty)
             except Exception as e:
                 # the record is on disk but not in memory: recovery will
                 # converge them, this process must stop acknowledging

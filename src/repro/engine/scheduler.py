@@ -14,7 +14,7 @@ Dependencies are derived from named objects:
   its pattern uses (plus, transitively, their source tables), and the
   subgraphs that seed its steps;
 * a statement *writes* what it creates: DDL objects, ingested tables
-  (including a pseudo-object per dependent view, since ingest rebuilds
+  (including a pseudo-object per dependent view, since ingest refreshes
   them atomically), and ``into table`` / ``into subgraph`` results.
 
 Statement *i* depends on the latest earlier statement whose writes
@@ -142,7 +142,7 @@ def _analyze(
             eff.writes.add(("view", stmt.name))
         elif isinstance(stmt, Ingest):
             eff.writes.add(("table", stmt.table))
-            # atomic ingest rebuilds every dependent view
+            # atomic ingest refreshes every dependent view
             for v in table_views.get(stmt.table, set()):
                 eff.writes.add(("view", v))
         elif isinstance(stmt, CreateIndex):

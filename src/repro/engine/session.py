@@ -35,7 +35,7 @@ from typing import Any, Mapping, Optional, Sequence
 from repro.errors import ExecutionError
 from repro.graql.parser import parse_script
 from repro.obs.options import QueryOptions, reject_legacy_kwargs
-from repro.obs.profile import record_profile_metrics
+from repro.obs.profile import record_profile_metrics, record_refresh_metrics
 from repro.graph.subgraph import Subgraph
 from repro.query.executor import StatementKind, StatementResult
 from repro.storage.table import Table
@@ -275,22 +275,20 @@ class Database:
     # Direct data access (bypassing CSV files)
     # ------------------------------------------------------------------
     def ingest_rows(self, table: str, rows: Sequence[Sequence[Any]]) -> int:
-        """Append stored-form rows and rebuild dependent views (atomic;
-        serializes with concurrent statements via the write lock)."""
-
-        def work() -> int:
-            n = self.db.ingest_rows(table, rows)
-            self.catalog.refresh(self.db)
-            return n
-
-        return self._server.serving.run_work("admin", True, work)
+        """Append stored-form rows and bring dependent views up to date
+        (atomic; serializes with concurrent statements via the write
+        lock)."""
+        return self._ingest(lambda: self.db.ingest_rows(table, rows))
 
     def ingest_text(self, table: str, csv_text: str) -> int:
         """Ingest CSV text (same semantics as ``ingest table``)."""
+        return self._ingest(lambda: self.db.ingest_text(table, csv_text))
 
+    def _ingest(self, ingest) -> int:
         def work() -> int:
-            n = self.db.ingest_text(table, csv_text)
-            self.catalog.refresh(self.db)
+            n = ingest()
+            self.catalog.refresh(self.db, self.db.last_refresh)
+            record_refresh_metrics(self.metrics, self.db.last_refresh)
             return n
 
         return self._server.serving.run_work("admin", True, work)

@@ -5,18 +5,23 @@
    E(a_1,...,a_n) = (S \\bowtie (\\sigma_\\varphi A)) \\bowtie T
 
 An edge declaration names a source and target vertex endpoint, optional
-associated table(s) (``from table``), and a ``where`` clause.  Building the
-edge type executes a small join plan:
+associated table(s) (``from table``), and a ``where`` clause.  The edge
+type is *delta-maintained* (:meth:`EdgeType.delta`): it keeps a watermark
+per relation and, for each relation that grew, executes a small join plan
+starting from the new rows:
 
 1. split the ``where`` clause into conjuncts; equality conjuncts between
    columns of *different* relations are join predicates, everything else
-   is a post-join filter;
-2. start from the source endpoint's relation (its selected source rows,
-   carrying a hidden vid column) and greedily join in connected relations
-   — the target endpoint, declared ``from table`` relations, and any table
-   mentioned only in the ``where`` clause (the paper's Fig. 3 ``feature``
-   edge does exactly that);
-3. apply residual filters, project the two vid columns, and deduplicate.
+   is a filter, applied as soon as the relations it reads are joined;
+2. start from the rows past the watermark (the initial build: all rows of
+   the source endpoint's relation, i.e. its selected source rows with
+   their vids) and greedily join in connected relations — the endpoints,
+   declared ``from table`` relations, and any table mentioned only in the
+   ``where`` clause (the paper's Fig. 3 ``feature`` edge does exactly
+   that) — by probing their lookup indexes, never re-sorting them;
+3. project the vid columns, deduplicate, and merge the result into the
+   existing edges, which are kept in a canonical order so that the arrays
+   do not depend on how the rows were batched.
 
 Deduplication implements the paper's many-to-one semantics (Fig. 5): edges
 declared *without* an associated table are identified by the (source vid,
@@ -29,12 +34,15 @@ survive, making G a multigraph.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from repro.dtypes import DataType, INTEGER
+from repro.dtypes import DataType
 from repro.errors import CatalogError, TypeCheckError
+from repro.graph.delta import NO_IDS, IdDelta
+from repro.graph.vertex import VertexType
 from repro.storage.column import Column
 from repro.storage.expr import (
     BinOp,
@@ -45,90 +53,69 @@ from repro.storage.expr import (
     conjuncts,
     evaluate_predicate,
 )
-from repro.storage.relops import _shared_codes
+from repro.storage.indexes import lex_search
 from repro.storage.schema import Schema
 from repro.storage.table import Table
-from repro.graph.vertex import VertexType
-
-VID = "__vid"
-ROWID = "__row"
 
 
-class _Relation:
-    """A working relation during edge construction.
+class _Role:
+    """One relation of an edge declaration at its current state: a
+    table, or — for an endpoint — the selected rows of a vertex view.
 
-    Columns are keyed by (qualifier, name); all arrays share ``nrows``.
+    Rows are addressed by *position*: the row id of a table, the index
+    into ``view.rows`` of an endpoint (whose vid is ``view.row_vids`` at
+    the same index).  *view* is a :class:`VertexType` or, while a round
+    of refreshes is being computed, its pending
+    :class:`~repro.graph.vertex.VertexDelta`.
     """
 
-    def __init__(self, columns: dict[tuple[str, str], Column], nrows: int) -> None:
-        self.columns = columns
-        self.nrows = nrows
+    def __init__(self, ref: str, table: Table, view=None) -> None:
+        self.ref = ref
+        self.table = table
+        self.view = view
 
-    @classmethod
-    def for_endpoint(cls, vt: VertexType, ref: str) -> "_Relation":
-        cols: dict[tuple[str, str], Column] = {}
-        for cdef in vt.table.schema:
-            src = vt.table.column(cdef.name)
-            cols[(ref, cdef.name)] = src.take(vt.rows)
-        cols[(ref, VID)] = Column(INTEGER, vt.row_vids.astype(np.int64))
-        return cls(cols, len(vt.rows))
+    @property
+    def size(self) -> int:
+        return self.table.num_rows if self.view is None else len(self.view.rows)
 
-    @classmethod
-    def for_table(cls, table: Table, ref: str) -> "_Relation":
-        cols: dict[tuple[str, str], Column] = {}
-        for cdef in table.schema:
-            cols[(ref, cdef.name)] = table.column(cdef.name)
-        cols[(ref, ROWID)] = Column(INTEGER, np.arange(table.num_rows, dtype=np.int64))
-        return cls(cols, table.num_rows)
+    def column(self, name: str, pos: np.ndarray) -> Column:
+        col = self.table.column(name)
+        rows = pos if self.view is None else self.view.rows[pos]
+        return Column(col.dtype, col.data[rows])
 
-    def qualifiers(self) -> set[str]:
-        return {q for q, _ in self.columns}
-
-    def take(self, idx: np.ndarray) -> "_Relation":
-        return _Relation({k: c.take(idx) for k, c in self.columns.items()}, len(idx))
-
-    def join(self, other: "_Relation", pairs: list[tuple[tuple[str, str], tuple[str, str]]]) -> "_Relation":
-        """Equi-join on [(my_key, other_key)] column pairs (vectorized)."""
-        lcols = [self.columns[a] for a, _ in pairs]
-        rcols = [other.columns[b] for _, b in pairs]
-        li, ri = _join_arrays(lcols, rcols)
-        cols = {k: c.take(li) for k, c in self.columns.items()}
-        cols.update({k: c.take(ri) for k, c in other.columns.items()})
-        return _Relation(cols, len(li))
-
-    def cross(self, other: "_Relation") -> "_Relation":
-        li = np.repeat(np.arange(self.nrows), other.nrows)
-        ri = np.tile(np.arange(other.nrows), self.nrows)
-        cols = {k: c.take(li) for k, c in self.columns.items()}
-        cols.update({k: c.take(ri) for k, c in other.columns.items()})
-        return _Relation(cols, len(li))
-
-    def env(self) -> Env:
-        mapping = {
-            (q, n): (c.data, c.dtype) for (q, n), c in self.columns.items()
-        }
-        return Env.from_columns(mapping, self.nrows)
+    def probe(self, name: str, values: Column) -> tuple[np.ndarray, np.ndarray]:
+        """Equi-join *values* against column *name*: aligned
+        ``(index into values, position here)`` for every match.  NULLs
+        never match."""
+        valid = np.flatnonzero(~values.null_mask())
+        rows, at = self.table.lookup_index(name).lookup_many(values.sort_key()[valid])
+        at = valid[at]
+        if self.view is None:
+            return at, rows
+        # table rows -> positions among the view's selected rows
+        selected = self.view.rows
+        pos = np.minimum(np.searchsorted(selected, rows), len(selected) - 1)
+        hit = selected[pos] == rows if len(selected) else np.zeros(len(rows), dtype=bool)
+        return at[hit], pos[hit]
 
 
-def _join_arrays(lcols: list[Column], rcols: list[Column]) -> tuple[np.ndarray, np.ndarray]:
-    """All matching row-index pairs between two column lists (inner join)."""
-    lcodes, rcodes, lvalid, rvalid = _shared_codes(lcols, rcols)
-    lidx = np.flatnonzero(lvalid)
-    ridx = np.flatnonzero(rvalid)
-    lc = lcodes[lidx]
-    rc = rcodes[ridx]
-    order = np.argsort(rc, kind="stable")
-    rs = rc[order]
-    lo = np.searchsorted(rs, lc, side="left")
-    hi = np.searchsorted(rs, lc, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    li_rep = np.repeat(np.arange(len(lc)), counts)
-    starts = np.repeat(lo, counts)
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    return lidx[li_rep], ridx[order[starts + offsets]]
+@dataclass(frozen=True)
+class EdgeDelta:
+    """An edge view's state after consuming more rows of its relations:
+    the complete new arrays, ready to be published by assignment."""
+
+    src_vids: np.ndarray
+    tgt_vids: np.ndarray
+    assoc_rows: Optional[np.ndarray]
+    #: relation name -> rows consumed so far (the new watermarks)
+    consumed: dict[str, int]
+    #: the edges this delta added (and how the old eids moved)
+    ids: IdDelta
+    #: vertex counts of the endpoint types the vids index into
+    num_sources: int
+    num_targets: int
+    #: relation rows read to compute it
+    rows_consumed: int
 
 
 class EdgeType:
@@ -157,110 +144,209 @@ class EdgeType:
         self.target_ref = target_ref
         self.from_tables = list(from_tables)
         self.where = where
-        self._table_lookup = table_lookup or (lambda _n: None)
         if len(self.from_tables) == 1:
             self.assoc_table: Optional[Table] = self.from_tables[0]
         else:
             self.assoc_table = None
-        self._build()
-
-    # ------------------------------------------------------------------
-    # Construction (Eq. 2)
-    # ------------------------------------------------------------------
-    def _build(self) -> None:
-        relations: dict[str, _Relation] = {
-            self.source_ref: _Relation.for_endpoint(self.source, self.source_ref),
-            self.target_ref: _Relation.for_endpoint(self.target, self.target_ref),
-        }
+        #: non-endpoint relations by name: the ``from table`` ones, then
+        #: tables referenced only in the where clause
+        self._tables: dict[str, Table] = {}
         for t in self.from_tables:
-            if t.name in relations:
+            if t.name in (source_ref, target_ref) or t.name in self._tables:
                 raise CatalogError(
                     f"edge {self.name!r}: relation name {t.name!r} used twice"
                 )
-            relations[t.name] = _Relation.for_table(t, t.name)
-        cjs = conjuncts(self.where)
-        # resolve qualifiers; pull in tables referenced only in the where
-        for cj in cjs:
-            for ref in col_refs(cj):
+            self._tables[t.name] = t
+        #: the where clause's conjuncts, each with the relations it reads
+        self._conjuncts: list[tuple[Expr, frozenset[str]]] = []
+        lookup = table_lookup or (lambda _n: None)
+        for cj in conjuncts(where):
+            refs = col_refs(cj)
+            for ref in refs:
                 q = ref.qualifier
                 if q is None:
                     raise TypeCheckError(
                         f"edge {self.name!r}: unqualified attribute "
                         f"{ref.name!r} in where clause — qualify it"
                     )
-                if q not in relations:
-                    t = self._table_lookup(q)
+                if q not in (source_ref, target_ref) and q not in self._tables:
+                    t = lookup(q)
                     if t is None:
                         raise TypeCheckError(
                             f"edge {self.name!r}: unknown relation {q!r} in "
                             f"where clause"
                         )
-                    relations[q] = _Relation.for_table(t, q)
-        join_preds: list[tuple[tuple[str, str], tuple[str, str], Expr]] = []
-        filters: list[Expr] = []
-        for cj in cjs:
-            pred = _as_join_predicate(cj)
-            if pred is not None and pred[0][0] != pred[1][0]:
-                join_preds.append((pred[0], pred[1], cj))
-            else:
-                filters.append(cj)
-        working = relations[self.source_ref]
-        joined = {self.source_ref}
-        remaining = {q: r for q, r in relations.items() if q != self.source_ref}
-        pending = list(join_preds)
-        while remaining:
-            # gather all predicates connecting the joined set to one relation
-            batch: dict[str, list[tuple[tuple[str, str], tuple[str, str]]]] = {}
-            for a, b, _ in pending:
-                if a[0] in joined and b[0] in remaining:
-                    batch.setdefault(b[0], []).append((a, b))
-                elif b[0] in joined and a[0] in remaining:
-                    batch.setdefault(a[0], []).append((b, a))
-            if batch:
-                # join the relation with the most predicates first (most
+                    self._tables[q] = t
+            self._conjuncts.append((cj, frozenset(r.qualifier for r in refs)))
+        self.src_vids: np.ndarray = NO_IDS
+        self.tgt_vids: np.ndarray = NO_IDS
+        self.assoc_rows: Optional[np.ndarray] = (
+            NO_IDS if self.assoc_table is not None else None
+        )
+        self.num_edges: int = 0
+        #: watermarks: relation name -> rows of it already joined in
+        self._consumed: dict[str, int] = dict.fromkeys(
+            [source_ref, target_ref, *self._tables], 0
+        )
+        self.refresh()
+
+    # ------------------------------------------------------------------
+    # Construction and maintenance (Eq. 2)
+    # ------------------------------------------------------------------
+    def _roles(self, views: Mapping[str, object]) -> dict[str, _Role]:
+        """The relations at their newest state; *views* holds pending
+        vertex deltas by vertex type name."""
+        src, tgt = self.source, self.target
+        roles = {
+            self.source_ref: _Role(self.source_ref, src.table, views.get(src.name, src)),
+            self.target_ref: _Role(self.target_ref, tgt.table, views.get(tgt.name, tgt)),
+        }
+        for ref, table in self._tables.items():
+            roles[ref] = _Role(ref, table)
+        return roles
+
+    def delta(self, views: Optional[Mapping[str, object]] = None) -> Optional[EdgeDelta]:
+        """The view after the relation rows past the watermarks, or None
+        when no relation grew.  Publishes nothing.
+
+        Eq. 2 is a select-project-join, monotone in every relation:
+        ``E(R1 ∪ Δ1, ..., Rk ∪ Δk)`` is the old ``E`` plus, per grown
+        relation *i*, the join of ``Δi`` with all the others at their new
+        state.  Each term runs the greedy join plan starting *from the
+        delta*, probing the other relations through their lookup
+        indexes.  A relation consumed from watermark 0 makes its term
+        the whole join, so it runs alone: the initial build is that one
+        term, source endpoint first.
+
+        Edges are kept in a canonical order — sorted by ``(assoc row,
+        src vid, tgt vid)``, or ``(src vid, tgt vid)`` without an
+        associated table — so the arrays depend on the final tables
+        only, never on how the rows were batched: new associated rows
+        append, anything else is a ``lex_search`` merge.
+        """
+        roles = self._roles(views or {})
+        grown = [r for r in roles.values() if r.size > self._consumed[r.ref]]
+        if not grown:
+            return None
+        bulk = next((r for r in grown if self._consumed[r.ref] == 0), None)
+        src_view, tgt_view = roles[self.source_ref].view, roles[self.target_ref].view
+        terms = []
+        for start in [bulk] if bulk is not None else grown:
+            pos = np.arange(self._consumed[start.ref], start.size)
+            work = self._join(roles, start.ref, pos)
+            terms.append(
+                _order_cols(
+                    src_view.row_vids[work[self.source_ref]],
+                    tgt_view.row_vids[work[self.target_ref]],
+                    work[self.assoc_table.name] if self.assoc_table is not None else None,
+                )
+            )
+        found = _sorted_unique([np.concatenate(c) for c in zip(*terms)])
+        old = _order_cols(self.src_vids, self.tgt_vids, self.assoc_rows)
+        lo, hi = lex_search(old, found)
+        new = lo == hi
+        at = lo[new]  # insertion points in the old arrays, ascending
+        *rows, src, tgt = [np.insert(o, at, f[new]) for o, f in zip(old, found)]
+        inserted = at + np.arange(len(at))
+        renumber = None
+        if len(at) and at[0] < self.num_edges:
+            eids = np.arange(self.num_edges)
+            renumber = eids + np.searchsorted(at, eids, side="right")
+        assoc_rows = rows[0] if rows else None
+        return EdgeDelta(
+            src_vids=src,
+            tgt_vids=tgt,
+            assoc_rows=assoc_rows,
+            consumed={ref: r.size for ref, r in roles.items()},
+            ids=IdDelta(
+                inserted, None if assoc_rows is None else assoc_rows[inserted], renumber
+            ),
+            num_sources=src_view.num_vertices,
+            num_targets=tgt_view.num_vertices,
+            rows_consumed=sum(r.size - self._consumed[r.ref] for r in grown),
+        )
+
+    def _join(
+        self, roles: dict[str, _Role], start: str, pos: np.ndarray
+    ) -> dict[str, np.ndarray]:
+        """Join rows *pos* of relation *start* with every other relation.
+
+        Returns aligned position arrays, one per relation.  Greedy plan:
+        of the relations an equality conjunct connects to the joined
+        set, take the one with the most connecting conjuncts, probe it
+        on the first of them, and apply every conjunct as soon as all
+        the relations it reads are joined (further equalities to the
+        same relation, residual filters and cycles in the join graph
+        alike); with no connecting conjunct, cross join.
+        """
+        work = {start: pos}
+        todo = list(self._conjuncts)
+
+        def resolver(qualifier: str | None, name: str):
+            col = roles[qualifier].column(name, work[qualifier])
+            return col.data, col.dtype
+
+        def settle() -> None:
+            nonlocal work
+            for item in [c for c in todo if c[1] <= work.keys()]:
+                todo.remove(item)
+                mask = evaluate_predicate(item[0], Env(resolver, len(work[start])))
+                work = {ref: p[mask] for ref, p in work.items()}
+
+        settle()
+        rest = [ref for ref in roles if ref != start]
+        while rest:
+            # equality conjuncts connecting the joined set to one relation
+            links: dict[str, list] = {}
+            for item in todo:
+                pair = _as_join_predicate(item[0])
+                if pair is None:
+                    continue
+                for a, b in (pair, pair[::-1]):
+                    if a[0] in work and b[0] in rest:
+                        links.setdefault(b[0], []).append((a, b, item))
+            if links:
+                # the relation with the most predicates first (most
                 # selective under equal cardinalities)
-                q = max(batch, key=lambda k: len(batch[k]))
-                working = working.join(remaining.pop(q), batch[q])
-                joined.add(q)
-                pending = [
-                    p for p in pending
-                    if not (p[0][0] in joined and p[1][0] in joined)
-                ]
+                q = max(links, key=lambda k: len(links[k]))
+                a, b, item = links[q][0]
+                todo.remove(item)
+                at, found = roles[q].probe(b[1], roles[a[0]].column(a[1], work[a[0]]))
+                work = {ref: p[at] for ref, p in work.items()}
+                work[q] = found
             else:
                 # no connecting predicate: cross join (rare, but Eq. 2's
                 # "tables of the vertex types are joined" permits it)
-                q = next(iter(remaining))
-                working = working.cross(remaining.pop(q))
-                joined.add(q)
-        # join predicates both of whose sides were already joined act as
-        # filters (cycles in the join graph)
-        for a, b, cj in pending:
-            filters.append(cj)
-        for f in filters:
-            mask = evaluate_predicate(f, working.env())
-            working = working.take(np.flatnonzero(mask))
-        src = working.columns[(self.source_ref, VID)].data
-        tgt = working.columns[(self.target_ref, VID)].data
-        if self.assoc_table is not None:
-            rows = working.columns[(self.assoc_table.name, ROWID)].data
-            triples = np.stack([src, tgt, rows])
-            _, keep = np.unique(triples, axis=1, return_index=True)
-            keep.sort()
-            self.src_vids = src[keep]
-            self.tgt_vids = tgt[keep]
-            self.assoc_rows: Optional[np.ndarray] = rows[keep]
-        else:
-            pairs = np.stack([src, tgt]) if len(src) else np.empty((2, 0), dtype=np.int64)
-            _, keep = np.unique(pairs, axis=1, return_index=True)
-            keep.sort()
-            self.src_vids = src[keep]
-            self.tgt_vids = tgt[keep]
-            self.assoc_rows = None
-        self.num_edges: int = len(self.src_vids)
+                q = rest[0]
+                n, m = len(work[start]), roles[q].size
+                work = {ref: np.repeat(p, m) for ref, p in work.items()}
+                work[q] = np.tile(np.arange(m), n)
+            rest.remove(q)
+            settle()
+        return work
+
+    def publish(self, delta: EdgeDelta) -> None:
+        """Make *delta* the view's state (plain assignments)."""
+        self.src_vids = delta.src_vids
+        self.tgt_vids = delta.tgt_vids
+        self.assoc_rows = delta.assoc_rows
+        self.num_edges = len(delta.src_vids)
+        self._consumed = delta.consumed
 
     def refresh(self) -> None:
-        """Rebuild after any underlying table changed (atomic ingest)."""
-        self._build()
+        """Consume the relation rows appended since the last refresh."""
+        delta = self.delta()
+        if delta is not None:
+            self.publish(delta)
+
+    def snapshot(self) -> EdgeDelta:
+        """The current state as the delta from an empty view — what an
+        index created now has to absorb."""
+        return EdgeDelta(
+            self.src_vids, self.tgt_vids, self.assoc_rows, self._consumed,
+            IdDelta(np.arange(self.num_edges), self.assoc_rows),
+            self.source.num_vertices, self.target.num_vertices, 0,
+        )
 
     # ------------------------------------------------------------------
     # Attributes (from the associated table)
@@ -334,3 +420,21 @@ def _as_join_predicate(expr: Expr):
             (expr.right.qualifier, expr.right.name),
         )
     return None
+
+
+def _order_cols(
+    src: np.ndarray, tgt: np.ndarray, rows: Optional[np.ndarray]
+) -> list[np.ndarray]:
+    """The columns of the canonical edge order, major first."""
+    return [src, tgt] if rows is None else [rows, src, tgt]
+
+
+def _sorted_unique(cols: list[np.ndarray]) -> list[np.ndarray]:
+    """Distinct column tuples in lexicographic order (first column major)."""
+    order = np.lexsort(tuple(reversed(cols)))
+    cols = [c[order] for c in cols]
+    if len(order) == 0:
+        return cols
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.logical_or.reduce([c[1:] != c[:-1] for c in cols])
+    return [c[first] for c in cols]

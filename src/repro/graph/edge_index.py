@@ -10,26 +10,67 @@ An :class:`EdgeIndex` stores one direction as compressed sparse rows:
 and ``eids`` arrays.  Expansion of a whole frontier is a single gather —
 no per-vertex Python loops — which is what makes the set-frontier query
 strategy fast and what the distributed backend shards per worker.
+
+The indexes are delta-maintained: an :class:`EdgeIndex` is immutable, and
+a refresh builds the next one from the previous plus the new edges — each
+lands in its source's run by eid (a per-run binary search), old eids are
+renumbered when edges were inserted before them — instead of re-sorting
+all edges.  Runs are ordered by eid and eids follow the canonical edge
+order, so the arrays equal those of a one-shot build over the final
+tables.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
+
+from repro.storage.indexes import bisect_ranges
 
 
 class EdgeIndex:
     """One direction of adjacency in CSR form."""
 
-    def __init__(self, num_sources: int, from_vids: np.ndarray, to_vids: np.ndarray, eids: np.ndarray | None = None) -> None:
+    def __init__(
+        self,
+        num_sources: int,
+        from_vids: np.ndarray,
+        to_vids: np.ndarray,
+        eids: Optional[np.ndarray] = None,
+        base: Optional["EdgeIndex"] = None,
+        renumber: Optional[np.ndarray] = None,
+    ) -> None:
+        """Index the given edges (*eids* ascending; default ``0..m-1``),
+        merged into the entries of *base* when given.
+
+        Each source's run is ordered by eid, so a new entry goes where a
+        per-run binary search puts it — new eids past all old ones land
+        at the ends of their runs — and the result is the arrays a
+        stable sort of all edges would give.  *renumber* maps *base*'s
+        eids to their new values first; *base* itself is left untouched.
+        """
         if eids is None:
             eids = np.arange(len(from_vids), dtype=np.int64)
         order = np.argsort(from_vids, kind="stable")
+        from_vids, to_vids, eids = from_vids[order], to_vids[order], eids[order]
         self.num_sources = int(num_sources)
-        self._sorted_from = from_vids[order]
-        self.neighbors = to_vids[order]
-        self.eids = eids[order]
-        counts = np.bincount(from_vids, minlength=num_sources)
-        self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        counts = np.bincount(from_vids, minlength=self.num_sources)
+        if base is None:
+            self.neighbors = to_vids
+            self.eids = eids
+            self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+            return
+        old_eids = base.eids if renumber is None else renumber[base.eids]
+        # sources past the old count have empty runs at the end
+        indptr = np.concatenate(
+            [base.indptr, np.full(self.num_sources - base.num_sources, base.indptr[-1])]
+        )
+        at = bisect_ranges(old_eids, indptr[from_vids], indptr[from_vids + 1], eids)
+        self.neighbors = np.insert(base.neighbors, at, to_vids)
+        self.eids = np.insert(old_eids, at, eids)
+        indptr[1:] += np.cumsum(counts)
+        self.indptr = indptr
 
     @property
     def num_edges(self) -> int:
@@ -91,12 +132,23 @@ class BidirectionalIndex:
 
     def __init__(self, edge_type) -> None:
         self.edge_type = edge_type
-        self.forward = EdgeIndex(
-            edge_type.source.num_vertices, edge_type.src_vids, edge_type.tgt_vids
+        self.forward: Optional[EdgeIndex] = None
+        self.reverse: Optional[EdgeIndex] = None
+        self.publish(self.merged(edge_type.snapshot()))
+
+    def merged(self, delta) -> tuple[EdgeIndex, EdgeIndex]:
+        """Both directions with the edges of an
+        :class:`~repro.graph.edge.EdgeDelta` merged in.  Publishes
+        nothing."""
+        ids = delta.ids
+        src, tgt = delta.src_vids[ids.inserted], delta.tgt_vids[ids.inserted]
+        return (
+            EdgeIndex(delta.num_sources, src, tgt, ids.inserted, self.forward, ids.renumber),
+            EdgeIndex(delta.num_targets, tgt, src, ids.inserted, self.reverse, ids.renumber),
         )
-        self.reverse = EdgeIndex(
-            edge_type.target.num_vertices, edge_type.tgt_vids, edge_type.src_vids
-        )
+
+    def publish(self, pair: tuple[EdgeIndex, EdgeIndex]) -> None:
+        self.forward, self.reverse = pair
 
     def direction(self, outgoing: bool) -> EdgeIndex:
         """The index to use when traversing along (True) or against

@@ -8,9 +8,20 @@ structural invariants:
   (Section II-A1) — guaranteed by construction since ids are per-type;
 * G is a directed multigraph (parallel edges allowed via ``from table``
   edge declarations);
-* ``ingest`` is atomic: the table append either fully succeeds or changes
-  nothing, and *every* dependent vertex/edge view (and its indexes) is
-  rebuilt before the call returns (Section II-A2).
+* ``ingest`` is atomic and leaves every view current (Section II-A2):
+  the append either fully succeeds or changes nothing, and *every*
+  dependent vertex/edge view, CSR index and attribute index is brought up
+  to date before the call returns — **delta-maintained**, not rebuilt.
+  The views are select-project-join queries over append-only tables,
+  hence monotone: the view over ``T ∪ ΔT`` is the old view plus a term
+  driven by ``ΔT`` alone.  Each view keeps watermarks of the rows it has
+  consumed; :meth:`GraphDB.refresh_dependents` — the one refresh path of
+  live ingest, WAL recovery and replica apply — computes every delta
+  from the rows past them, then publishes all of them by attribute
+  assignment, or none.  Edges are kept in a canonical order (``(assoc
+  row, src vid, tgt vid)``, or ``(src vid, tgt vid)`` for join-only
+  edges), so the arrays are a function of the final tables, not of the
+  batching; the eid/row order of an unordered select is not API.
 
 This class is the single-node backend; the simulated cluster
 (:mod:`repro.dist`) partitions one of these across workers.
@@ -18,18 +29,21 @@ This class is the single-node backend; the simulated cluster
 
 from __future__ import annotations
 
-from typing import Optional
+import time
+from functools import partial
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from repro.errors import CatalogError
-from repro.graph.attr_index import GraphAttrIndex
+from repro.graph.attr_index import KIND_EDGE, KIND_VERTEX, GraphAttrIndex
+from repro.graph.delta import RefreshReport
 from repro.graph.edge import EdgeType
 from repro.graph.edge_index import BidirectionalIndex
 from repro.graph.subgraph import Subgraph
 from repro.graph.vertex import VertexType
 from repro.storage.csvio import read_csv_into, read_csv_text_into
-from repro.storage.expr import Expr, col_refs
+from repro.storage.expr import Expr
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 
@@ -55,6 +69,10 @@ class GraphDB:
         #: (IR submission, local connections, prepared statements,
         #: pipelined scripts, direct ingest APIs) funnel through.
         self.journal = None
+        #: what the most recent :meth:`refresh_dependents` call did — the
+        #: catalog re-derives the metadata of exactly this, and the
+        #: metrics / ``graql profile`` report it
+        self.last_refresh = RefreshReport()
 
     # ------------------------------------------------------------------
     # DDL
@@ -202,68 +220,112 @@ class GraphDB:
         return out
 
     # ------------------------------------------------------------------
-    # Ingest (atomic, with dependent-view rebuild)
+    # Ingest (atomic, with delta maintenance of the dependent views)
     # ------------------------------------------------------------------
     def ingest(self, table_name: str, path: str) -> int:
+        return self._ingest(table_name, lambda table: read_csv_into(table, path))
+
+    def ingest_text(self, table_name: str, text: str) -> int:
+        """Ingest from CSV text (workload generators and tests)."""
+        return self._ingest(table_name, lambda table: read_csv_text_into(table, text))
+
+    def ingest_rows(self, table_name: str, rows) -> int:
+        """Ingest stored-form rows directly (fast path for generators)."""
+
+        def append(table: Table) -> int:
+            table.append_rows(rows)
+            return len(rows)
+
+        return self._ingest(table_name, append)
+
+    def _ingest(self, table_name: str, append: Callable[[Table], int]) -> int:
+        """Append, refresh the dependents, journal — all or nothing.
+
+        *append* either appends every row or raises having changed
+        nothing.  If a dependent then fails to refresh, the table is cut
+        back to where it started; the views were never touched, because
+        a refresh publishes only after everything was computed.  Zero
+        rows refresh nothing and journal nothing.
+        """
         table = self.table(table_name)
         start = table.num_rows
-        count = read_csv_into(table, path)
-        self._rebuild_dependents(table_name)
+        count = append(table)
+        try:
+            self.refresh_dependents([table_name] if count else [])
+        except BaseException:
+            table.truncate(start)
+            raise
         if self.journal is not None and count:
             # the *rows* are journaled, not the file path: replay must
             # not depend on the CSV still existing (or being unchanged)
             self.journal.on_ingest(table, start)
         return count
 
-    def ingest_text(self, table_name: str, text: str) -> int:
-        """Ingest from CSV text (workload generators and tests)."""
-        table = self.table(table_name)
-        start = table.num_rows
-        count = read_csv_text_into(table, text)
-        self._rebuild_dependents(table_name)
-        if self.journal is not None and count:
-            self.journal.on_ingest(table, start)
-        return count
+    def refresh_dependents(self, dirty_tables: Iterable[str]) -> RefreshReport:
+        """Bring every view and index up to date with the tables that
+        grew, from the appended rows only.
 
-    def ingest_rows(self, table_name: str, rows) -> int:
-        """Ingest stored-form rows directly (fast path for generators)."""
-        table = self.table(table_name)
-        start = table.num_rows
-        table.append_rows(rows)
-        self._rebuild_dependents(table_name)
-        if self.journal is not None and rows:
-            self.journal.on_ingest(table, start)
-        return len(rows)
-
-    def _edge_dependencies(self, et: EdgeType) -> set[str]:
-        deps = {et.source.table.name, et.target.table.name}
-        deps.update(t.name for t in et.from_tables)
-        if et.where is not None:
-            for ref in col_refs(et.where):
-                if ref.qualifier in self.tables:
-                    deps.add(ref.qualifier)
-        return deps
-
-    def _rebuild_dependents(self, table_name: str) -> None:
-        refreshed_vertices = set()
+        The one refresh path: a live ingest, WAL recovery (many ingests,
+        one call) and a replica's apply all come through here.  Every
+        view keeps watermarks of what it has consumed, so the views are
+        simply asked in dependency order — vertex types, then edge types
+        (reading the pending vertex state) with their CSR indexes, then
+        attribute indexes — and the ones with nothing new answer None.
+        All deltas are computed before any is published: an exception
+        leaves every view as it was.
+        """
+        t0 = time.perf_counter()
+        report = RefreshReport(tables=set(dirty_tables))
+        if not report:
+            self.last_refresh = report
+            return report
+        publish: list[Callable[[], None]] = []
+        deltas: dict[str, object] = {}
         for vt in self.vertex_types.values():
-            if vt.table.name == table_name:
-                vt.refresh()
-                refreshed_vertices.add(vt.name)
-        refreshed_edges = set()
+            vd = vt.delta()
+            if vd is not None:
+                deltas[vt.name] = vd
+                publish.append(partial(vt.publish, vd))
+                report.views.append((vt.name, KIND_VERTEX, vd.rows_consumed))
         for et in self.edge_types.values():
-            deps = self._edge_dependencies(et)
-            if (
-                table_name in deps
-                or et.source.name in refreshed_vertices
-                or et.target.name in refreshed_vertices
-            ):
-                et.refresh()
-                self.indexes[et.name] = BidirectionalIndex(et)
-                refreshed_edges.add(et.name)
+            ed = et.delta(deltas)
+            if ed is not None:
+                deltas[et.name] = ed
+                index = self.indexes[et.name]
+                publish.append(partial(et.publish, ed))
+                publish.append(partial(index.publish, index.merged(ed)))
+                report.views.append((et.name, KIND_EDGE, ed.rows_consumed))
         for gi in self.attr_indexes.values():
-            if gi.target_name in refreshed_vertices or gi.target_name in refreshed_edges:
-                gi.rebuild()
+            delta = deltas.get(gi.target_name)
+            if delta is not None:
+                self._check_still_indexable(gi, delta)
+                publish.append(partial(setattr, gi, "index", gi.merged(delta)))
+                report.indexes.add(gi.name)
+        for assign in publish:
+            assign()
+        report.seconds = time.perf_counter() - t0
+        self.last_refresh = report
+        return report
+
+    def _check_still_indexable(self, gi: GraphAttrIndex, delta) -> None:
+        """A one-to-one vertex view that a duplicate key turns
+        many-to-one stops exposing its non-key attributes; an index over
+        one of them would have nothing to index."""
+        if gi.kind != KIND_VERTEX or delta.one_to_one:
+            return
+        vt = gi.target
+        if all(a in vt.key_cols for a in gi.attrs):
+            return
+        appended = delta.rows[len(vt.rows):]
+        row = int(appended[~np.isin(appended, delta.ids.source_rows)][0])
+        key = tuple(vt.table.column(k).value(row) for k in vt.key_cols)
+        cols = ", ".join(gi.attrs)
+        raise CatalogError(
+            f"ingest into {vt.table.name!r} rejected: duplicate key {key!r} "
+            f"would make vertex type {vt.name!r} many-to-one, but index "
+            f"{gi.name!r} on {vt.name}({cols}) needs its one-to-one "
+            f"attributes — drop the index first"
+        )
 
     # ------------------------------------------------------------------
     # Query results

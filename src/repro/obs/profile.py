@@ -152,6 +152,9 @@ class QueryProfile:
         self.pipeline: Optional[dict] = None
         #: root span of the trace (QueryOptions(trace=True) only)
         self.trace: Optional[Span] = None
+        #: what the ingest's view refresh consumed (ingest statements
+        #: only): a :class:`~repro.graph.delta.RefreshReport`
+        self.refresh = None
         #: True when the serving layer answered from the plan cache —
         #: parse/typecheck were skipped (rendered as ``cache: hit``)
         self.cache_hit = False
@@ -266,6 +269,12 @@ class QueryProfile:
                 f"  attr-index: {self.attr_seeks} seeks, "
                 f"{self.attr_seek_rows} candidate rows"
             )
+        if self.refresh is not None:
+            views = " ".join(f"{n}({k})={rows}" for n, k, rows in self.refresh.views)
+            lines.append(
+                f"  refresh: {self.refresh.seconds * 1000.0:.3f}ms "
+                f"rows consumed: {views or 'none'}"
+            )
         if self.pipeline is not None:
             lines.append(
                 "  pipeline: chunks={chunks} paths={total_paths} "
@@ -310,6 +319,14 @@ class QueryProfile:
             "rows_out": self.rows_out,
             "dist": self.dist,
             "pipeline": self.pipeline,
+            "refresh": None
+            if self.refresh is None
+            else {
+                "ms": round(self.refresh.seconds * 1000.0, 3),
+                "views": [
+                    {"view": n, "kind": k, "rows": rows} for n, k, rows in self.refresh.views
+                ],
+            },
             "trace": self.trace.to_dict() if self.trace is not None else None,
         }
 
@@ -359,6 +376,8 @@ def record_profile_metrics(registry: MetricsRegistry, profile: QueryProfile) -> 
             "graql_index_seek_rows_total",
             "candidate rows produced by attribute-index seeks",
         ).inc(profile.attr_seek_rows)
+    if profile.refresh is not None:
+        record_refresh_metrics(registry, profile.refresh)
     registry.histogram(
         "graql_rows_out",
         "result rows (tables) or vertices (subgraphs)",
@@ -401,3 +420,22 @@ def record_profile_metrics(registry: MetricsRegistry, profile: QueryProfile) -> 
                     "injected faults observed",
                     labels={"fault": fault},
                 ).inc(count)
+
+
+def record_refresh_metrics(registry: MetricsRegistry, report) -> None:
+    """Fold one view refresh (a :class:`~repro.graph.delta.RefreshReport`)
+    into a metrics registry.  The rows counter is the work done — rows
+    past the views' watermarks — so it repeats exactly for the same
+    statements whatever the tables already hold."""
+    if not report:
+        return
+    registry.histogram(
+        "graql_view_refresh_seconds",
+        "wall time of one delta refresh of the views an ingest touched",
+    ).observe(report.seconds)
+    for view, kind, rows in report.views:
+        registry.counter(
+            "graql_view_refresh_rows_total",
+            "relation rows consumed by view refreshes",
+            labels={"view": view, "kind": kind},
+        ).inc(rows)

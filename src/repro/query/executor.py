@@ -304,7 +304,9 @@ def _execute_resolved(
     if isinstance(stmt, Ingest):
         with _stage("execute", profile, tracer):
             n = db.ingest(stmt.table, stmt.path)
-            catalog.refresh(db)
+            catalog.refresh(db, db.last_refresh)
+        if profile is not None:
+            profile.refresh = db.last_refresh
         return StatementResult(
             "ingest", message=f"ingested {n} rows into {stmt.table}", count=n
         )

@@ -35,6 +35,7 @@ import threading
 import time
 from typing import Any, Optional
 
+from repro.durability.state import KIND_INGEST
 from repro.engine.session import Database
 from repro.errors import (
     GraQLError,
@@ -55,6 +56,7 @@ from repro.net.frame import (
     PROTOCOL_VERSION,
 )
 from repro.net.protocol import decode_error
+from repro.obs.profile import record_refresh_metrics
 from repro.obs.replication import ReplicationMetrics
 from repro.obs.trace import Span
 
@@ -305,7 +307,12 @@ class Replica:
         serving = db.server.serving
         with serving.lock.write_locked():
             seq = db.store.apply_replicated(record)
-            db.catalog.refresh(db.db)
+            # an ingest touched what its view refresh reports; anything
+            # else (DDL, results, accounts) re-derives the whole catalog
+            report = db.db.last_refresh if record.get("kind") == KIND_INGEST else None
+            db.catalog.refresh(db.db, report)
+            if report is not None:
+                record_refresh_metrics(db.metrics, report)
             self._sync_users()
             db.store.maybe_checkpoint()
         serving.cache.invalidate()

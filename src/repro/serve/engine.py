@@ -232,14 +232,7 @@ class ServingEngine:
         script = parse_script(source)  # pure; classification needs the AST
         parse_ms = (time.perf_counter() - t0) * 1000.0
         if script_is_write(script):
-            if self.read_only:
-                self._reject_write()
-            with self.lock.write_locked():
-                results, _ = runner(script, opts, parse_ms)
-            # effects bumped the catalog epoch; old entries are
-            # unreachable by key — free their memory too
-            self.cache.invalidate()
-            return results
+            return self._write(lambda: runner(script, opts, parse_ms)[0])
         with self.lock.read_locked():
             key = self.cache.key(source, params, self.catalog.epoch)
             entry = self.cache.lookup(key)
@@ -301,14 +294,23 @@ class ServingEngine:
 
     def _locked(self, write: bool, fn: Callable[[], Any]) -> Any:
         if write:
-            if self.read_only:
-                self._reject_write()
-            with self.lock.write_locked():
-                out = fn()
-            self.cache.invalidate()
-            return out
+            return self._write(fn)
         with self.lock.read_locked():
             return fn()
+
+    def _write(self, fn: Callable[[], Any]) -> Any:
+        if self.read_only:
+            self._reject_write()
+        with self.lock.write_locked():
+            epoch = self.catalog.epoch
+            out = fn()
+            changed = self.catalog.epoch != epoch
+        if changed:
+            # old entries are unreachable by key — free their memory
+            # too.  A write that changed nothing (a zero-row ingest, a
+            # checkpoint) leaves the epoch and every cached plan alone.
+            self.cache.invalidate()
+        return out
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -6,9 +6,11 @@ Three index kinds back the graph layer:
   holding it.  This is how a vertex view maps a vertex key to its source
   row(s): one row for one-to-one mappings, several for many-to-one
   (Section II-A).
-* :class:`SortedIndex` — a sorted-codes index supporting vectorized batch
-  lookup (``lookup_many``), the building block the CSR edge index
-  (:mod:`repro.graph.edge_index`) uses for bulk endpoint resolution.
+* :class:`SortedIndex` — sorted values beside their ids, supporting
+  vectorized batch lookup (``lookup_many``) and copy-on-write growth
+  (``extended``): what delta view maintenance probes instead of
+  re-sorting a whole table (:meth:`Table.lookup_index
+  <repro.storage.table.Table.lookup_index>`, vertex key resolution).
 * :class:`AttributeIndex` — a range-capable lexsorted index over one or
   more attribute arrays (vid-aligned), the access structure behind
   ``create index`` DDL.  Equality seeks narrow column by column through
@@ -89,26 +91,72 @@ class HashIndex:
         return len(self._frozen)
 
 
-class SortedIndex:
-    """Vectorized batch-lookup index over a single int64 code array.
+def bisect_ranges(
+    col: np.ndarray, lo: np.ndarray, hi: np.ndarray, queries: np.ndarray, side: str = "left"
+) -> np.ndarray:
+    """Binary-search ``queries[i]`` inside the sorted run ``col[lo[i]:hi[i]]``.
 
-    Build once over ``codes`` (e.g. factorized key codes); then
-    :meth:`lookup_many` maps a query array to (row_ids, query_offsets)
-    fully vectorized via searchsorted.
+    Vectorized across the queries — one NumPy pass per halving, over the
+    still-open ranges only — so the cost is ``len(queries) * log(range)``
+    whatever the size of *col*.  Returns absolute positions in *col*.
+    """
+    lo = np.array(lo, dtype=np.int64)
+    hi = np.array(hi, dtype=np.int64)
+    right = side == "right"
+    while True:
+        todo = np.flatnonzero(lo < hi)
+        if len(todo) == 0:
+            return lo
+        mid = (lo[todo] + hi[todo]) >> 1
+        below = col[mid] <= queries[todo] if right else col[mid] < queries[todo]
+        below = np.asarray(below, dtype=bool)
+        lo[todo[below]] = mid[below] + 1
+        hi[todo[~below]] = mid[~below]
+
+
+def lex_search(
+    sorted_cols: Sequence[np.ndarray], queries: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Locate query tuples in columns sorted lexicographically.
+
+    Returns ``(lo, hi)``: rows ``lo[i]:hi[i]`` equal query *i*; when
+    there are none, ``lo[i] == hi[i]`` is where it would be inserted.
+    """
+    lo = np.searchsorted(sorted_cols[0], queries[0], side="left")
+    hi = np.searchsorted(sorted_cols[0], queries[0], side="right")
+    for col, q in zip(sorted_cols[1:], queries[1:]):
+        lo, hi = (
+            bisect_ranges(col, lo, hi, q, "left"),
+            bisect_ranges(col, lo, hi, q, "right"),
+        )
+    return lo, hi
+
+
+class SortedIndex:
+    """Vectorized batch-lookup index: sorted values beside the ids carrying them.
+
+    *values* is any totally ordered array (factorized codes, numbers, an
+    object array of ``str``); *ids* defaults to the positions.
+    :meth:`lookup_many` maps a query array to ``(ids, query_index)``
+    with two ``searchsorted`` calls; :meth:`extended` returns a new
+    index with more entries merged in, leaving this one untouched.  It
+    is what a join probes instead of re-sorting the big side, and what a
+    vertex view resolves appended keys against.
     """
 
-    def __init__(self, codes: np.ndarray) -> None:
-        self.order = np.argsort(codes, kind="stable")
-        self.sorted_codes = codes[self.order]
+    def __init__(self, values: np.ndarray, ids: Optional[np.ndarray] = None) -> None:
+        order = np.argsort(values, kind="stable")
+        self.sorted_values = values[order]
+        self.ids = order.astype(np.int64) if ids is None else ids[order]
 
     def lookup_many(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """For each query code, every matching row id.
+        """For each query value, every id carrying it.
 
-        Returns ``(row_ids, query_index)`` aligned arrays: row ``row_ids[i]``
+        Returns ``(ids, query_index)`` aligned arrays: ``ids[i]``
         matches ``queries[query_index[i]]``.
         """
-        lo = np.searchsorted(self.sorted_codes, queries, side="left")
-        hi = np.searchsorted(self.sorted_codes, queries, side="right")
+        lo = np.searchsorted(self.sorted_values, queries, side="left")
+        hi = np.searchsorted(self.sorted_values, queries, side="right")
         counts = hi - lo
         total = int(counts.sum())
         if total == 0:
@@ -116,7 +164,17 @@ class SortedIndex:
         qidx = np.repeat(np.arange(len(queries)), counts)
         starts = np.repeat(lo, counts)
         offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        return self.order[starts + offsets], qidx
+        return self.ids[starts + offsets], qidx
+
+    def extended(self, values: np.ndarray, ids: np.ndarray) -> "SortedIndex":
+        """A new index holding these entries too (equal values keep
+        arrival order: existing entries first)."""
+        order = np.argsort(values, kind="stable")
+        at = np.searchsorted(self.sorted_values, values[order], side="right")
+        out = SortedIndex.__new__(SortedIndex)
+        out.sorted_values = np.insert(self.sorted_values, at, values[order])
+        out.ids = np.insert(self.ids, at, ids[order])
+        return out
 
 
 class AttributeIndex:
@@ -136,21 +194,45 @@ class AttributeIndex:
     dropped at build time (SQL semantics — ``a = NULL`` is not true).
     """
 
-    def __init__(self, arrays: Sequence[np.ndarray], null_masks: Sequence[np.ndarray]) -> None:
-        n = len(arrays[0])
-        keep = np.ones(n, dtype=bool)
+    def __init__(
+        self,
+        arrays: Sequence[np.ndarray],
+        null_masks: Sequence[np.ndarray],
+        ids: Optional[np.ndarray] = None,
+        base: Optional["AttributeIndex"] = None,
+        renumber: Optional[np.ndarray] = None,
+    ) -> None:
+        """Index the rows of *arrays* under *ids* (ascending; default
+        ``0..n-1``), merged into the entries of *base* when given.
+
+        Entries are ordered by ``(columns..., id)``, so merging a sorted
+        batch at its ``lex_search`` positions gives the arrays a build
+        over all rows at once would.  *renumber* maps *base*'s ids to
+        their new values first (edge ids shift when edges are inserted
+        before them); *base* itself is left untouched.
+        """
+        if ids is None:
+            ids = np.arange(len(arrays[0]), dtype=np.int64)
+        keep = np.ones(len(ids), dtype=bool)
         for m in null_masks:
             keep &= ~m
-        vids = np.flatnonzero(keep).astype(np.int64)
-        kept = [self._sortable(a[vids]) for a in arrays]
+        ids = ids[keep]
+        kept = [self._sortable(a[keep]) for a in arrays]
         if len(kept) == 1:
             order = np.argsort(kept[0], kind="stable")
         else:
             order = np.lexsort(tuple(reversed(kept)))
+        ids = ids[order]
+        cols = [a[order] for a in kept]
+        if base is not None:
+            old_ids = base.vids if renumber is None else renumber[base.vids]
+            at, _ = lex_search([*base.sorted_cols, old_ids], [*cols, ids])
+            ids = np.insert(old_ids, at, ids)
+            cols = [np.insert(b, at, c) for b, c in zip(base.sorted_cols, cols)]
         #: vids in lexsorted attribute order
-        self.vids: np.ndarray = vids[order]
+        self.vids: np.ndarray = ids
         #: per-column attribute values aligned with ``self.vids``
-        self.sorted_cols: list[np.ndarray] = [a[order] for a in kept]
+        self.sorted_cols: list[np.ndarray] = cols
         self.num_entries = len(self.vids)
 
     @staticmethod

@@ -2,8 +2,9 @@
 
 Tables are *logically immutable*: every operator returns a new ``Table``
 sharing column arrays where possible (views, not copies — per the HPC
-guidance).  The only mutating operation is :meth:`Table.append_rows`,
-used by atomic CSV ingest, which replaces the column set wholesale.
+guidance).  The only mutating operations are :meth:`Table.append_rows`,
+used by atomic CSV ingest, and its rollback :meth:`Table.truncate`; both
+replace the column set wholesale, never resizing an array in place.
 """
 
 from __future__ import annotations
@@ -85,6 +86,8 @@ class Table:
             if len(c) != n:
                 raise CatalogError(f"table {name!r}: ragged column lengths")
         self.columns = columns
+        #: column name -> (rows covered, index): see :meth:`lookup_index`
+        self._lookups: dict[str, tuple[int, Any]] = {}
 
     # ------------------------------------------------------------------
     # Constructors
@@ -202,6 +205,12 @@ class Table:
             list(self.columns) + [col],
         )
 
+    def slice(self, start: int, stop: int | None = None) -> "Table":
+        """Rows ``[start:stop)`` as a table over views of the columns."""
+        return Table(
+            self.name, self.schema, [Column(c.dtype, c.data[start:stop]) for c in self.columns]
+        )
+
     def head(self, n: int, name: str | None = None) -> "Table":
         return self.take(np.arange(min(n, self.num_rows)), name)
 
@@ -225,6 +234,33 @@ class Table:
         appended = Table.from_rows(self.name, self.schema, rows)
         merged = self.concat(appended)
         self.columns = merged.columns
+
+    def truncate(self, num_rows: int) -> None:
+        """Drop the rows past *num_rows*: the rollback of an ingest whose
+        view refresh failed."""
+        self.columns = self.slice(0, num_rows).columns
+        self._lookups = {}
+
+    def lookup_index(self, name: str):
+        """A :class:`~repro.storage.indexes.SortedIndex` from the non-NULL
+        values of column *name* (in ``sort_key`` form) to their row ids.
+
+        Built on first use and, because tables only grow, brought up to
+        date by merging the rows appended since — so probing a big table
+        with a small batch costs the batch, not a sort of the table.
+        """
+        from repro.storage.indexes import SortedIndex
+
+        covered, index = self._lookups.get(name, (0, None))
+        if index is None or covered < self.num_rows:
+            col = self.column(name)
+            tail = Column(col.dtype, col.data[covered:])
+            valid = np.flatnonzero(~tail.null_mask())
+            values = tail.sort_key()[valid]
+            ids = valid + covered
+            index = SortedIndex(values, ids) if index is None else index.extended(values, ids)
+            self._lookups[name] = (self.num_rows, index)
+        return index
 
     # ------------------------------------------------------------------
     # Rendering

@@ -121,25 +121,3 @@ class TestMultiPredicateBatch:
             for i in range(et.num_edges)
         }
         assert pairs == {(0, 7), (0, 8), (1, 8)}
-
-
-class TestRefresh:
-    def test_edge_rebuild_after_assoc_ingest(self):
-        db = GraphDB()
-        db.create_table("N", Schema.of(("id", INTEGER)))
-        db.create_table("E", Schema.of(("s", INTEGER), ("t", INTEGER)))
-        db.tables["N"].append_rows([(0,), (1,)])
-        db.create_vertex("V", ["id"], "N")
-        et = db.create_edge(
-            "e",
-            "V",
-            "V",
-            "A",
-            "B",
-            ["E"],
-            parse_expression("E.s = A.id and E.t = B.id"),
-        )
-        assert et.num_edges == 0
-        db.tables["E"].append_rows([(0, 1)])
-        et.refresh()
-        assert et.num_edges == 1

@@ -122,16 +122,6 @@ class TestSelect:
         assert sorted(vt.key_of(int(v))[0] for v in out) == ["b", "d"]
 
 
-class TestRefresh:
-    def test_refresh_after_append(self):
-        t = table()
-        vt = VertexType("V", ["id"], t)
-        t.append_rows([("g", "JP", 7)])
-        vt.refresh()
-        assert vt.num_vertices == 7
-        assert vt.vid_of(("g",)) == 6
-
-
 class TestErrors:
     def test_unknown_key_column(self):
         with pytest.raises(CatalogError):

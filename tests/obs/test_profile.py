@@ -127,3 +127,55 @@ class TestRecordMetrics:
         record_profile_metrics(reg, _sample_profile())
         assert reg.value("graql_statements_total", {"kind": "subgraph"}) == 2
         assert reg.value("graql_edges_scanned_total") == 34
+
+
+class TestViewRefresh:
+    """An ingest's profile and metrics report the rows its view refresh
+    consumed: the batch, whatever the tables already hold."""
+
+    DDL = """
+    create table People(id integer, city varchar(8))
+    create table Knows(src integer, dst integer)
+    create vertex Person(id) from table People
+    create edge knows with vertices (Person as A, Person as B)
+    from table Knows where Knows.src = A.id and Knows.dst = B.id
+    """
+
+    def _db(self):
+        from repro import Database
+
+        db = Database()
+        db.execute(self.DDL)
+        db.ingest_text("People", "".join(f"{i},c{i % 7}\n" for i in range(500)))
+        return db
+
+    def test_rows_counter_counts_the_batch_not_the_table(self):
+        db = self._db()
+        edge = {"view": "knows", "kind": "edge"}
+        seen = []
+        for batch in range(3):
+            before = db.metrics.value("graql_view_refresh_rows_total", edge) or 0
+            db.ingest_text("Knows", "".join(f"{i},{i + 1}\n" for i in range(25)))
+            seen.append(db.metrics.value("graql_view_refresh_rows_total", edge) - before)
+        assert seen == [25, 25, 25]
+        # People was consumed once by the vertex view, once per endpoint role
+        assert db.metrics.value(
+            "graql_view_refresh_rows_total", {"view": "Person", "kind": "vertex"}
+        ) == 500
+        assert db.metrics.get_histogram("graql_view_refresh_seconds").count == 4
+
+    def test_profile_has_a_refresh_line(self, tmp_path):
+        db = self._db()
+        path = tmp_path / "k.csv"
+        path.write_text("1,2\n2,3\n")
+        (result,) = db.execute(f"ingest table Knows '{path}'")
+        assert result.profile.refresh.views == [("knows", "edge", 2)]
+        assert "  refresh: " in result.profile.render()
+        assert "knows(edge)=2" in result.profile.render()
+        assert result.profile.to_dict()["refresh"]["views"] == [
+            {"view": "knows", "kind": "edge", "rows": 2}
+        ]
+        # no ingest, no line
+        (result,) = db.execute("select count(*) as n from table Knows")
+        assert result.profile.refresh is None
+        assert "refresh:" not in result.profile.render()

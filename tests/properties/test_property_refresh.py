@@ -1,0 +1,233 @@
+"""Delta view maintenance ≡ a from-scratch build, array for array.
+
+Vertex/edge views, both CSR directions and every attribute index are
+maintained from the appended rows only (``GraphDB.refresh_dependents``).
+The contract is *array identity*: after any sequence of ingests, in any
+batching, every derived array equals the one a fresh ``GraphDB`` builds
+when it is handed the final tables in one shot.  Recovery (which folds
+many ingests into one refresh) and a replica (which applies them one by
+one through the same function) must land on the same fingerprint.
+
+The schema pool covers: a vertex ``where``, multi-column and varchar
+keys, NULL keys, many-to-one views, a one-to-one view that a duplicate
+key flips to many-to-one mid-sequence; edges with one ``from table``,
+join-only edges with dedup, a table referenced only in the ``where``,
+the same table in both endpoint roles, a cross-join edge, a cyclic join
+predicate and two equalities onto one relation.
+"""
+
+from __future__ import annotations
+
+import hypothesis.strategies as st
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+
+from repro import Database
+from repro.dtypes.values import INT_NULL
+from repro.durability.state import apply_ddl, state_fingerprint
+from repro.graph.graphdb import GraphDB
+from repro.graql.parser import parse_script
+from repro.graql.pretty import pretty_statement
+
+TABLES = """
+create table P(id integer, name varchar(8), grp integer, w float)
+create table K(src integer, dst integer, tag varchar(4))
+create table L(a integer, b integer)
+create table C(code varchar(4), grp integer)
+"""
+
+#: vertex declarations, in dependency order before the edges
+VERTICES = [
+    "create vertex V1(id) from table P",
+    "create vertex VG(grp) from table P",
+    "create vertex VN(name, grp) from table P where w > 0.5",
+    "create vertex VC(code) from table C",
+]
+
+#: (statement, vertex types it needs)
+EDGES = [
+    (
+        "create edge e_assoc with vertices (V1 as A, V1 as B) from table K "
+        "where K.src = A.id and K.dst = B.id",
+        frozenset({"V1"}),
+    ),
+    ("create edge e_join with vertices (V1, VG) where V1.grp = VG.grp", frozenset({"V1", "VG"})),
+    (
+        "create edge e_where with vertices (VG as G, VC as H) "
+        "where L.a = G.grp and L.b = H.grp",
+        frozenset({"VG", "VC"}),
+    ),
+    ("create edge e_cross with vertices (VC, VG) where VC.grp > 1", frozenset({"VC", "VG"})),
+    (
+        "create edge e_cycle with vertices (V1 as A, V1 as B) from table K "
+        "where K.src = A.id and K.dst = B.id and A.grp = B.grp",
+        frozenset({"V1"}),
+    ),
+    (
+        "create edge e_multi with vertices (V1 as A, VN as B) from table K "
+        "where K.src = A.id and K.tag = B.name and K.dst = B.grp",
+        frozenset({"V1", "VN"}),
+    ),
+]
+
+#: (statement, view it needs) — key attributes only, so the one-to-one
+#: flip of V1 never invalidates them
+INDEXES = [
+    ("create index i_v1 on V1(id)", "V1"),
+    ("create index i_vn on VN(grp, name)", "VN"),
+    ("create index i_tag on e_assoc(tag)", "e_assoc"),
+    ("create index i_src on e_assoc(src, dst)", "e_assoc"),
+]
+
+# stored-form values; NULL is the type's sentinel
+# small domains, so keys repeat and joins match; NULLs are the rare case
+ints = st.sampled_from([0, 1, 2, 3, 0, 1, 2, 3, INT_NULL])
+names = st.sampled_from(["a", "b", "c", "a", "b", "c", None])
+weights = st.sampled_from([float("nan"), 0.25, 0.75, 1.0, 2.0])
+ROWS = {
+    "P": st.tuples(ints, names, ints, weights),
+    "K": st.tuples(ints, ints, names),
+    "L": st.tuples(ints, ints),
+    "C": st.tuples(names, ints),
+}
+
+
+@st.composite
+def batches(draw):
+    table = draw(st.sampled_from(["P", "P", "K", "K", "L", "C"]))
+    # mostly real batches; the empty one must be a no-op
+    size = draw(st.sampled_from([0, 1, 2, 3, 5, 8]))
+    return table, draw(st.lists(ROWS[table], min_size=size, max_size=size))
+
+
+@st.composite
+def schedules(draw):
+    """A schema drawn from the pool and a schedule interleaving its DDL
+    with ingest batches: a view may be declared over empty tables, over
+    loaded ones, or between two batches."""
+
+    def most_of(pool):
+        dropped = draw(st.lists(st.sampled_from(pool), unique=True, max_size=2))
+        return [x for x in pool if x not in dropped]
+
+    vertices = most_of(VERTICES)
+    have = {v.split()[2].split("(")[0] for v in vertices}
+    edges = [e for e, needs in most_of(EDGES) if needs <= have]
+    have |= {e.split()[2] for e in edges}
+    indexes = [i for i, needs in most_of(INDEXES) if needs in have]
+    ddl = vertices + edges + indexes
+    ingests = draw(st.lists(batches(), min_size=4, max_size=10))
+    # DDL keeps its relative order; ingests fall anywhere around it
+    slots = sorted(draw(st.lists(st.integers(0, len(ingests)), min_size=len(ddl), max_size=len(ddl))))
+    steps = []
+    for i, batch in enumerate(ingests):
+        steps += [("ddl", d) for d, s in zip(ddl, slots) if s == i]
+        steps.append(("ingest", batch))
+    steps += [("ddl", d) for d, s in zip(ddl, slots) if s == len(ingests)]
+    return steps
+
+
+def one_shot(steps) -> GraphDB:
+    """A fresh database handed the final tables first, the views after."""
+    db = GraphDB()
+    for stmt in parse_script(TABLES).statements:
+        apply_ddl(db, pretty_statement(stmt))
+    for kind, arg in steps:
+        if kind == "ingest" and arg[1]:
+            db.table(arg[0]).append_rows(arg[1])
+    for kind, arg in steps:
+        if kind == "ddl":
+            apply_ddl(db, arg)
+    return db
+
+
+def derived_arrays(db: GraphDB) -> dict:
+    out = {}
+    for vt in db.vertex_types.values():
+        out[vt.name] = {
+            "rows": vt.rows, "row_vids": vt.row_vids, "rep_rows": vt.rep_rows,
+            "num_vertices": vt.num_vertices, "one_to_one": vt.one_to_one,
+        }
+    for et in db.edge_types.values():
+        idx = db.indexes[et.name]
+        out[et.name] = {
+            "src_vids": et.src_vids, "tgt_vids": et.tgt_vids, "assoc_rows": et.assoc_rows,
+        }
+        for side, csr in (("fwd", idx.forward), ("rev", idx.reverse)):
+            out[et.name].update(
+                {f"{side}.indptr": csr.indptr, f"{side}.neighbors": csr.neighbors,
+                 f"{side}.eids": csr.eids}
+            )
+    for gi in db.attr_indexes.values():
+        out[gi.name] = {"vids": gi.index.vids}
+        out[gi.name].update({f"col{i}": c for i, c in enumerate(gi.index.sorted_cols)})
+    return out
+
+
+def assert_same_arrays(got: GraphDB, want: GraphDB) -> None:
+    a, b = derived_arrays(got), derived_arrays(want)
+    assert a.keys() == b.keys()
+    for name in a:
+        assert a[name].keys() == b[name].keys()
+        for field, x in a[name].items():
+            y = b[name][field]
+            if isinstance(x, np.ndarray):
+                assert x.dtype == y.dtype, (name, field, x.dtype, y.dtype)
+                assert np.array_equal(x, y), (name, field, x, y)
+            else:
+                assert x == y, (name, field, x, y)
+
+
+@given(schedules())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_delta_refresh_is_array_identical_to_one_shot_build(steps):
+    db = GraphDB()
+    for stmt in parse_script(TABLES).statements:
+        apply_ddl(db, pretty_statement(stmt))
+    for done, (kind, arg) in enumerate(steps, start=1):
+        if kind == "ddl":
+            apply_ddl(db, arg)
+        else:
+            db.ingest_rows(*arg)
+        assert_same_arrays(db, one_shot(steps[:done]))
+        assert db.check_partition_invariants()
+
+
+def run_through(db: Database, steps) -> None:
+    for kind, arg in steps:
+        if kind == "ddl":
+            db.execute(arg)
+        else:
+            db.ingest_rows(*arg)
+
+
+@given(schedules())
+@settings(max_examples=15, deadline=None, suppress_health_check=list(HealthCheck))
+def test_recovery_lands_on_the_live_fingerprint(tmp_path_factory, steps):
+    """Recovery replays the ingests without refreshing in between and
+    catches the views up in one delta per DDL boundary."""
+    path = str(tmp_path_factory.mktemp("delta") / "db")
+    with Database.open(path, fsync="off") as live:
+        live.execute(TABLES)
+        run_through(live, steps)
+        want = state_fingerprint(live.db)
+    with Database.open(path, fsync="off") as recovered:
+        assert state_fingerprint(recovered.db) == want
+        assert_same_arrays(recovered.db, one_shot(steps))
+
+
+@given(schedules())
+@settings(max_examples=5, deadline=None, suppress_health_check=list(HealthCheck))
+def test_caught_up_replica_lands_on_the_primary_fingerprint(tmp_path_factory, steps):
+    from tests.replication.conftest import Pair, wait_caught_up
+
+    pair = Pair(tmp_path_factory.mktemp("delta-repl"))
+    try:
+        replica = pair.start_replica()
+        pair.primary_db.execute(TABLES)
+        run_through(pair.primary_db, steps)
+        wait_caught_up(replica, pair.primary_db.store.seq)
+        assert state_fingerprint(replica.database.db) == state_fingerprint(pair.primary_db.db)
+        assert_same_arrays(replica.database.db, one_shot(steps))
+    finally:
+        pair.close()

@@ -112,17 +112,6 @@ class TestVertexViewInvariants:
             vid = int(vt.row_vids[pos])
             assert vt.key_of(vid) == (rows[int(row_idx)][0],)
 
-    @given(vertex_rows)
-    @settings(max_examples=50, deadline=None)
-    def test_refresh_is_rebuild(self, rows):
-        t = Table.from_rows("T", SCHEMA, rows)
-        vt = VertexType("V", ["k"], t)
-        t.append_rows([(99, "z")])
-        vt.refresh()
-        fresh = VertexType("V2", ["k"], t)
-        assert vt.num_vertices == fresh.num_vertices
-        assert vt.key_tuples() == fresh.key_tuples()
-
 
 class TestIngestInvariants:
     @given(
