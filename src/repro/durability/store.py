@@ -51,6 +51,7 @@ from repro.durability.wal import (
     read_wal,
 )
 from repro.errors import ReplicaStale, WalError
+from repro.graph.delta import RefreshReport
 from repro.graph.graphdb import GraphDB
 from repro.storage.atomic import fsync_dir, fsync_file, temp_path_for
 
@@ -500,8 +501,12 @@ class DurableStore:
             payload["repl_history"] = [list(x) for x in self.repl_history]
             return payload
 
-    def apply_replicated(self, record: dict[str, Any]) -> int:
+    def apply_replicated(self, record: dict[str, Any]) -> tuple[int, Optional[RefreshReport]]:
         """Replica-side apply of one streamed WAL record.
+
+        Returns the record's seq and, for an ingest, what its view
+        refresh touched (None for any other kind: DDL, results and
+        accounts can change anything in the catalog).
 
         The record is fenced (a replication epoch below the local fence
         is a deposed primary's write: :class:`~repro.errors.ReplicaStale`),
@@ -550,7 +555,7 @@ class DurableStore:
             dirty: set[str] = set()
             try:
                 st.apply_record(self.db, self.users, record, dirty)
-                self.db.refresh_dependents(dirty)
+                report = self.db.refresh_dependents(dirty)
             except Exception as e:
                 # the record is on disk but not in memory: recovery will
                 # converge them, this process must stop acknowledging
@@ -566,7 +571,7 @@ class DurableStore:
             self.last_epoch = max(self.last_epoch, int(record.get("epoch", 0)))
             self._records_since_checkpoint += 1
         self._notify_feed()
-        return seq
+        return seq, report if record.get("kind") == st.KIND_INGEST else None
 
     def install_snapshot(self, payload: dict[str, Any]) -> None:
         """Replace the entire state from a streamed snapshot (catch-up).

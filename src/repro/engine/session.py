@@ -286,9 +286,9 @@ class Database:
 
     def _ingest(self, ingest) -> int:
         def work() -> int:
-            n = ingest()
-            self.catalog.refresh(self.db, self.db.last_refresh)
-            record_refresh_metrics(self.metrics, self.db.last_refresh)
+            n, report = ingest()
+            self.catalog.refresh(self.db, report)
+            record_refresh_metrics(self.metrics, report)
             return n
 
         return self._server.serving.run_work("admin", True, work)

@@ -35,7 +35,7 @@ survive, making G a multigraph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -83,12 +83,19 @@ class _Role:
         rows = pos if self.view is None else self.view.rows[pos]
         return Column(col.dtype, col.data[rows])
 
-    def probe(self, name: str, values: Column) -> tuple[np.ndarray, np.ndarray]:
-        """Equi-join *values* against column *name*: aligned
-        ``(index into values, position here)`` for every match.  NULLs
-        never match."""
-        valid = np.flatnonzero(~values.null_mask())
-        rows, at = self.table.lookup_index(name).lookup_many(values.sort_key()[valid])
+    def probe(
+        self, names: Sequence[str], values: Sequence[Column]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Equi-join the value tuples (one column per name) against
+        columns *names*: aligned ``(index into values, position here)``
+        for every match.  NULLs never match."""
+        null = np.zeros(len(values[0]), dtype=bool)
+        for v in values:
+            null |= v.null_mask()
+        valid = np.flatnonzero(~null)
+        rows, at = self.table.lookup_index(names).lookup_many(
+            [v.sort_key()[valid] for v in values]
+        )
         at = valid[at]
         if self.view is None:
             return at, rows
@@ -273,11 +280,12 @@ class EdgeType:
 
         Returns aligned position arrays, one per relation.  Greedy plan:
         of the relations an equality conjunct connects to the joined
-        set, take the one with the most connecting conjuncts, probe it
-        on the first of them, and apply every conjunct as soon as all
-        the relations it reads are joined (further equalities to the
-        same relation, residual filters and cycles in the join graph
-        alike); with no connecting conjunct, cross join.
+        set, take the one with the most connecting conjuncts and probe
+        it on all of them at once (a composite key, so a low-cardinality
+        column never fans the intermediate result out); every other
+        conjunct — residual filters, cycles in the join graph — applies
+        as soon as all the relations it reads are joined; with no
+        connecting conjunct, cross join.
         """
         work = {start: pos}
         todo = list(self._conjuncts)
@@ -309,9 +317,18 @@ class EdgeType:
                 # the relation with the most predicates first (most
                 # selective under equal cardinalities)
                 q = max(links, key=lambda k: len(links[k]))
-                a, b, item = links[q][0]
-                todo.remove(item)
-                at, found = roles[q].probe(b[1], roles[a[0]].column(a[1], work[a[0]]))
+                # one probe column per column of q; a second equality on
+                # the same column is left to settle() as a filter
+                keys: dict[str, tuple] = {}
+                for a, b, item in links[q]:
+                    keys.setdefault(b[1], (a, item))
+                names = sorted(keys)
+                values = []
+                for name in names:
+                    a, item = keys[name]
+                    todo.remove(item)
+                    values.append(roles[a[0]].column(a[1], work[a[0]]))
+                at, found = roles[q].probe(names, values)
                 work = {ref: p[at] for ref, p in work.items()}
                 work[q] = found
             else:

@@ -69,10 +69,6 @@ class GraphDB:
         #: (IR submission, local connections, prepared statements,
         #: pipelined scripts, direct ingest APIs) funnel through.
         self.journal = None
-        #: what the most recent :meth:`refresh_dependents` call did — the
-        #: catalog re-derives the metadata of exactly this, and the
-        #: metrics / ``graql profile`` report it
-        self.last_refresh = RefreshReport()
 
     # ------------------------------------------------------------------
     # DDL
@@ -222,14 +218,17 @@ class GraphDB:
     # ------------------------------------------------------------------
     # Ingest (atomic, with delta maintenance of the dependent views)
     # ------------------------------------------------------------------
-    def ingest(self, table_name: str, path: str) -> int:
+    # Each returns the number of rows appended and what the refresh they
+    # caused touched: the caller's catalog re-derives the metadata of
+    # exactly that, the metrics and ``graql profile`` report it.
+    def ingest(self, table_name: str, path: str) -> tuple[int, RefreshReport]:
         return self._ingest(table_name, lambda table: read_csv_into(table, path))
 
-    def ingest_text(self, table_name: str, text: str) -> int:
+    def ingest_text(self, table_name: str, text: str) -> tuple[int, RefreshReport]:
         """Ingest from CSV text (workload generators and tests)."""
         return self._ingest(table_name, lambda table: read_csv_text_into(table, text))
 
-    def ingest_rows(self, table_name: str, rows) -> int:
+    def ingest_rows(self, table_name: str, rows) -> tuple[int, RefreshReport]:
         """Ingest stored-form rows directly (fast path for generators)."""
 
         def append(table: Table) -> int:
@@ -238,7 +237,9 @@ class GraphDB:
 
         return self._ingest(table_name, append)
 
-    def _ingest(self, table_name: str, append: Callable[[Table], int]) -> int:
+    def _ingest(
+        self, table_name: str, append: Callable[[Table], int]
+    ) -> tuple[int, RefreshReport]:
         """Append, refresh the dependents, journal — all or nothing.
 
         *append* either appends every row or raises having changed
@@ -251,7 +252,7 @@ class GraphDB:
         start = table.num_rows
         count = append(table)
         try:
-            self.refresh_dependents([table_name] if count else [])
+            report = self.refresh_dependents([table_name] if count else [])
         except BaseException:
             table.truncate(start)
             raise
@@ -259,7 +260,7 @@ class GraphDB:
             # the *rows* are journaled, not the file path: replay must
             # not depend on the CSV still existing (or being unchanged)
             self.journal.on_ingest(table, start)
-        return count
+        return count, report
 
     def refresh_dependents(self, dirty_tables: Iterable[str]) -> RefreshReport:
         """Bring every view and index up to date with the tables that
@@ -277,7 +278,6 @@ class GraphDB:
         t0 = time.perf_counter()
         report = RefreshReport(tables=set(dirty_tables))
         if not report:
-            self.last_refresh = report
             return report
         publish: list[Callable[[], None]] = []
         deltas: dict[str, object] = {}
@@ -304,7 +304,6 @@ class GraphDB:
         for assign in publish:
             assign()
         report.seconds = time.perf_counter() - t0
-        self.last_refresh = report
         return report
 
     def _check_still_indexable(self, gi: GraphAttrIndex, delta) -> None:

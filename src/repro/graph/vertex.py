@@ -100,7 +100,7 @@ class VertexType:
         self.one_to_one: bool = True
         #: watermark: source-table rows already consumed
         self.consumed: int = 0
-        #: first-key-column value -> vid over the representative rows;
+        #: key -> vid over the representative rows (all key columns);
         #: built by the first delta that meets a non-empty view
         self._lookup: Optional[SortedIndex] = None
         # key tuples per vid (materialized lazily)
@@ -161,9 +161,9 @@ class VertexType:
             rows_consumed=stop - start,
         )
 
-    def _key_values(self, rows: np.ndarray) -> np.ndarray:
-        col = self.table.column(self.key_cols[0])
-        return Column(col.dtype, col.data[rows]).sort_key()
+    def _key_values(self, rows: np.ndarray) -> list[np.ndarray]:
+        cols = [self.table.column(k) for k in self.key_cols]
+        return [Column(c.dtype, c.data[rows]).sort_key() for c in cols]
 
     def _resolve(self, keys: Table) -> np.ndarray:
         """The existing vid of each key row, -1 where the key is new."""
@@ -172,13 +172,8 @@ class VertexType:
             return vids
         if self._lookup is None:
             self._lookup = SortedIndex(self._key_values(self.rep_rows))
-        # probe on the first key column, verify the others on the candidates
-        cand, at = self._lookup.lookup_many(keys.columns[0].sort_key())
-        for name, col in zip(self.key_cols[1:], keys.columns[1:]):
-            known = self.table.column(name).data[self.rep_rows[cand]]
-            same = np.asarray(known == col.data[at], dtype=bool)
-            cand, at = cand[same], at[same]
-        vids[at] = cand
+        found, at = self._lookup.lookup_many([c.sort_key() for c in keys.columns])
+        vids[at] = found
         return vids
 
     def publish(self, delta: VertexDelta) -> None:

@@ -303,10 +303,10 @@ def _execute_resolved(
         return StatementResult("ddl", message=f"dropped index {stmt.name}")
     if isinstance(stmt, Ingest):
         with _stage("execute", profile, tracer):
-            n = db.ingest(stmt.table, stmt.path)
-            catalog.refresh(db, db.last_refresh)
+            n, report = db.ingest(stmt.table, stmt.path)
+            catalog.refresh(db, report)
         if profile is not None:
-            profile.refresh = db.last_refresh
+            profile.refresh = report
         return StatementResult(
             "ingest", message=f"ingested {n} rows into {stmt.table}", count=n
         )

@@ -35,7 +35,6 @@ import threading
 import time
 from typing import Any, Optional
 
-from repro.durability.state import KIND_INGEST
 from repro.engine.session import Database
 from repro.errors import (
     GraQLError,
@@ -306,10 +305,9 @@ class Replica:
         db = self.database
         serving = db.server.serving
         with serving.lock.write_locked():
-            seq = db.store.apply_replicated(record)
             # an ingest touched what its view refresh reports; anything
             # else (DDL, results, accounts) re-derives the whole catalog
-            report = db.db.last_refresh if record.get("kind") == KIND_INGEST else None
+            seq, report = db.store.apply_replicated(record)
             db.catalog.refresh(db.db, report)
             if report is not None:
                 record_refresh_metrics(db.metrics, report)

@@ -6,11 +6,12 @@ Three index kinds back the graph layer:
   holding it.  This is how a vertex view maps a vertex key to its source
   row(s): one row for one-to-one mappings, several for many-to-one
   (Section II-A).
-* :class:`SortedIndex` — sorted values beside their ids, supporting
-  vectorized batch lookup (``lookup_many``) and copy-on-write growth
-  (``extended``): what delta view maintenance probes instead of
-  re-sorting a whole table (:meth:`Table.lookup_index
-  <repro.storage.table.Table.lookup_index>`, vertex key resolution).
+* :class:`SortedIndex` — lexsorted key columns beside their ids,
+  supporting vectorized batch lookup on the whole (possibly composite)
+  key (``lookup_many``) and copy-on-write growth (``extended``): what
+  delta view maintenance probes instead of re-sorting a whole table
+  (:meth:`Table.lookup_index <repro.storage.table.Table.lookup_index>`,
+  vertex key resolution).
 * :class:`AttributeIndex` — a range-capable lexsorted index over one or
   more attribute arrays (vid-aligned), the access structure behind
   ``create index`` DDL.  Equality seeks narrow column by column through
@@ -132,47 +133,58 @@ def lex_search(
     return lo, hi
 
 
-class SortedIndex:
-    """Vectorized batch-lookup index: sorted values beside the ids carrying them.
+def _lex_order(cols: Sequence[np.ndarray]) -> np.ndarray:
+    """The stable permutation sorting rows by *cols*, first column major."""
+    if len(cols) == 1:
+        return np.argsort(cols[0], kind="stable")
+    return np.lexsort(tuple(reversed(cols)))
 
-    *values* is any totally ordered array (factorized codes, numbers, an
-    object array of ``str``); *ids* defaults to the positions.
-    :meth:`lookup_many` maps a query array to ``(ids, query_index)``
-    with two ``searchsorted`` calls; :meth:`extended` returns a new
-    index with more entries merged in, leaving this one untouched.  It
-    is what a join probes instead of re-sorting the big side, and what a
-    vertex view resolves appended keys against.
+
+class SortedIndex:
+    """Vectorized batch-lookup index: lexsorted key columns beside the
+    ids carrying them.
+
+    Each key column is any totally ordered array (factorized codes,
+    numbers, an object array of ``str``); *ids* defaults to the
+    positions.  :meth:`lookup_many` maps query tuples to ``(ids,
+    query_index)`` by :func:`lex_search` over *all* columns, so a
+    composite key costs ``len(queries) * log`` whatever the cardinality
+    of its leading column; :meth:`extended` returns a new index with
+    more entries merged in, leaving this one untouched.  It is what a
+    join probes instead of re-sorting the big side, and what a vertex
+    view resolves appended keys against.
     """
 
-    def __init__(self, values: np.ndarray, ids: Optional[np.ndarray] = None) -> None:
-        order = np.argsort(values, kind="stable")
-        self.sorted_values = values[order]
+    def __init__(self, cols: Sequence[np.ndarray], ids: Optional[np.ndarray] = None) -> None:
+        order = _lex_order(cols)
+        self.sorted_cols = [c[order] for c in cols]
         self.ids = order.astype(np.int64) if ids is None else ids[order]
 
-    def lookup_many(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """For each query value, every id carrying it.
+    def lookup_many(self, queries: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """For each query tuple (one array per key column), every id
+        carrying it.
 
         Returns ``(ids, query_index)`` aligned arrays: ``ids[i]``
-        matches ``queries[query_index[i]]``.
+        matches query ``query_index[i]``.
         """
-        lo = np.searchsorted(self.sorted_values, queries, side="left")
-        hi = np.searchsorted(self.sorted_values, queries, side="right")
+        lo, hi = lex_search(self.sorted_cols, queries)
         counts = hi - lo
         total = int(counts.sum())
         if total == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        qidx = np.repeat(np.arange(len(queries)), counts)
+        qidx = np.repeat(np.arange(len(counts)), counts)
         starts = np.repeat(lo, counts)
         offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
         return self.ids[starts + offsets], qidx
 
-    def extended(self, values: np.ndarray, ids: np.ndarray) -> "SortedIndex":
-        """A new index holding these entries too (equal values keep
+    def extended(self, cols: Sequence[np.ndarray], ids: np.ndarray) -> "SortedIndex":
+        """A new index holding these entries too (equal keys keep
         arrival order: existing entries first)."""
-        order = np.argsort(values, kind="stable")
-        at = np.searchsorted(self.sorted_values, values[order], side="right")
+        order = _lex_order(cols)
+        cols = [c[order] for c in cols]
+        _, at = lex_search(self.sorted_cols, cols)
         out = SortedIndex.__new__(SortedIndex)
-        out.sorted_values = np.insert(self.sorted_values, at, values[order])
+        out.sorted_cols = [np.insert(o, at, c) for o, c in zip(self.sorted_cols, cols)]
         out.ids = np.insert(self.ids, at, ids[order])
         return out
 
@@ -218,10 +230,7 @@ class AttributeIndex:
             keep &= ~m
         ids = ids[keep]
         kept = [self._sortable(a[keep]) for a in arrays]
-        if len(kept) == 1:
-            order = np.argsort(kept[0], kind="stable")
-        else:
-            order = np.lexsort(tuple(reversed(kept)))
+        order = _lex_order(kept)
         ids = ids[order]
         cols = [a[order] for a in kept]
         if base is not None:

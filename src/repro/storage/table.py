@@ -86,8 +86,8 @@ class Table:
             if len(c) != n:
                 raise CatalogError(f"table {name!r}: ragged column lengths")
         self.columns = columns
-        #: column name -> (rows covered, index): see :meth:`lookup_index`
-        self._lookups: dict[str, tuple[int, Any]] = {}
+        #: column names -> (rows covered, index): see :meth:`lookup_index`
+        self._lookups: dict[tuple[str, ...], tuple[int, Any]] = {}
 
     # ------------------------------------------------------------------
     # Constructors
@@ -241,9 +241,10 @@ class Table:
         self.columns = self.slice(0, num_rows).columns
         self._lookups = {}
 
-    def lookup_index(self, name: str):
-        """A :class:`~repro.storage.indexes.SortedIndex` from the non-NULL
-        values of column *name* (in ``sort_key`` form) to their row ids.
+    def lookup_index(self, names: Sequence[str]):
+        """A :class:`~repro.storage.indexes.SortedIndex` from the values of
+        columns *names* (in ``sort_key`` form, rows with a NULL in any of
+        them left out) to their row ids.
 
         Built on first use and, because tables only grow, brought up to
         date by merging the rows appended since — so probing a big table
@@ -251,15 +252,20 @@ class Table:
         """
         from repro.storage.indexes import SortedIndex
 
-        covered, index = self._lookups.get(name, (0, None))
+        names = tuple(names)
+        covered, index = self._lookups.get(names, (0, None))
         if index is None or covered < self.num_rows:
-            col = self.column(name)
-            tail = Column(col.dtype, col.data[covered:])
-            valid = np.flatnonzero(~tail.null_mask())
-            values = tail.sort_key()[valid]
+            tails = [
+                Column(c.dtype, c.data[covered:]) for c in map(self.column, names)
+            ]
+            null = np.zeros(self.num_rows - covered, dtype=bool)
+            for c in tails:
+                null |= c.null_mask()
+            valid = np.flatnonzero(~null)
+            values = [c.sort_key()[valid] for c in tails]
             ids = valid + covered
             index = SortedIndex(values, ids) if index is None else index.extended(values, ids)
-            self._lookups[name] = (self.num_rows, index)
+            self._lookups[names] = (self.num_rows, index)
         return index
 
     # ------------------------------------------------------------------

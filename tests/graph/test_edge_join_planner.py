@@ -121,3 +121,73 @@ class TestMultiPredicateBatch:
             for i in range(et.num_edges)
         }
         assert pairs == {(0, 7), (0, 8), (1, 8)}
+
+
+class TestSkewedCompositeKeys:
+    """A composite key is probed on *all* its columns: a low-cardinality
+    leading column must not fan the intermediate result out to
+    |batch| x |rows per leading value| (measured by allocation, which
+    repeats, not by time)."""
+
+    N = 5000
+    #: the arrays themselves are ~1 MB; probing the leading column alone
+    #: would allocate several hundred
+    BUDGET = 32 * 2**20
+
+    def peak_bytes(self, fn):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_multi_predicate_edge_build_and_deltas(self):
+        n = self.N
+        db = GraphDB()
+        db.create_table("T", Schema.of(("a", INTEGER), ("b", INTEGER)))
+        db.create_table("K", Schema.of(("x", INTEGER), ("y", INTEGER), ("z", INTEGER)))
+        db.tables["T"].append_rows([(i % 5, i) for i in range(n)])
+        db.tables["K"].append_rows([(i % 5, i, (i * 7) % n) for i in range(n)])
+        db.create_vertex("A", ["a", "b"], "T")
+        db.create_vertex("B", ["a", "b"], "T")
+        where = parse_expression("K.x = A.a and K.y = A.b and K.z = B.b")
+
+        def build_and_grow():
+            db.create_edge("E", "A", "B", None, None, ["K"], where)
+            db.ingest_rows("K", [(1, 1, 8), (2, 2, 9), (3, 2, 9)])  # the last matches no A
+            db.ingest_rows("T", [(0, n), (1, n)])
+            db.ingest_rows("K", [(0, n, n)])
+
+        assert self.peak_bytes(build_and_grow) < self.BUDGET
+        et = db.edge_type("E")
+        a, b = db.vertex_type("A"), db.vertex_type("B")
+        # past the n bulk edges; both (0, n) and (1, n) carry B.b = n
+        assert [
+            (int(r), a.key_of(int(s)), b.key_of(int(t)))
+            for r, s, t in zip(et.assoc_rows[n:], et.src_vids[n:], et.tgt_vids[n:])
+        ] == [
+            (n, (1, 1), (3, 8)),
+            (n + 1, (2, 2), (4, 9)),
+            (n + 3, (0, n), (0, n)),
+            (n + 3, (0, n), (1, n)),
+        ]
+
+    def test_composite_vertex_key_resolution(self):
+        n = self.N
+        db = GraphDB()
+        db.create_table("T", Schema.of(("grp", INTEGER), ("id", INTEGER)))
+        db.create_vertex("VG", ["grp", "id"], "T")
+        db.ingest_rows("T", [(i % 5, i) for i in range(n)])
+        vt = db.vertex_type("VG")
+
+        def grow():
+            # half known keys, half new ones
+            db.ingest_rows("T", [(i % 5, i) for i in range(n // 2, n + n // 2)])
+
+        assert self.peak_bytes(grow) < self.BUDGET
+        assert vt.num_vertices == n + n // 2
+        assert not vt.one_to_one
+        assert vt.row_vids[n:].tolist() == list(range(n // 2, n + n // 2))

@@ -60,7 +60,7 @@ class TestIngestRebuild:
         assert after > before
 
     def test_ingest_text(self, social_db):
-        n = social_db.db.ingest_text("Cities", "rome,IT,2800000\n")
+        n, _ = social_db.db.ingest_text("Cities", "rome,IT,2800000\n")
         assert n == 1
         assert social_db.db.vertex_type("City").num_vertices == 4
 

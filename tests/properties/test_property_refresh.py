@@ -8,6 +8,12 @@ when it is handed the final tables in one shot.  Recovery (which folds
 many ingests into one refresh) and a replica (which applies them one by
 one through the same function) must land on the same fingerprint.
 
+``one_shot`` runs the same delta code from watermark 0, so a second,
+independent oracle pins what both must compute: ``brute_force``
+evaluates Eq. 1 and Eq. 2 by nested Python loops over the final rows —
+no join plan, no probe, no sorted index — and sorts the edges into the
+canonical order.
+
 The schema pool covers: a vertex ``where``, multi-column and varchar
 keys, NULL keys, many-to-one views, a one-to-one view that a duplicate
 key flips to many-to-one mid-sequence; edges with one ``from table``,
@@ -17,6 +23,9 @@ predicate and two equalities onto one relation.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
+from itertools import product
 
 import hypothesis.strategies as st
 import numpy as np
@@ -178,6 +187,114 @@ def assert_same_arrays(got: GraphDB, want: GraphDB) -> None:
                 assert x == y, (name, field, x, y)
 
 
+# ----------------------------------------------------------------------
+# Brute-force reference: Eq. 1 / Eq. 2 by nested loops over the rows
+# ----------------------------------------------------------------------
+ROW = {
+    "P": namedtuple("P", "id name grp w"),
+    "K": namedtuple("K", "src dst tag"),
+    "L": namedtuple("L", "a b"),
+    "C": namedtuple("C", "code grp"),
+}
+
+
+def null(v) -> bool:
+    return v is None or v == INT_NULL or v != v
+
+
+def eq(x, y) -> bool:
+    return not null(x) and not null(y) and x == y
+
+
+#: vertex type -> (table, key of a row, where of a row)
+VERTEX_REF = {
+    "V1": ("P", lambda r: (r.id,), lambda r: True),
+    "VG": ("P", lambda r: (r.grp,), lambda r: True),
+    "VN": ("P", lambda r: (r.name, r.grp), lambda r: not null(r.w) and r.w > 0.5),
+    "VC": ("C", lambda r: (r.code,), lambda r: True),
+}
+
+#: edge type -> (source, target, other relations, has an associated
+#: table, where over (source row, target row, *other rows))
+EDGE_REF = {
+    "e_assoc": ("V1", "V1", ("K",), True, lambda a, b, k: eq(k.src, a.id) and eq(k.dst, b.id)),
+    "e_join": ("V1", "VG", (), False, lambda a, b: eq(a.grp, b.grp)),
+    "e_where": ("VG", "VC", ("L",), False, lambda g, h, l: eq(l.a, g.grp) and eq(l.b, h.grp)),
+    "e_cross": ("VC", "VG", (), False, lambda c, g: not null(c.grp) and c.grp > 1),
+    "e_cycle": (
+        "V1", "V1", ("K",), True,
+        lambda a, b, k: eq(k.src, a.id) and eq(k.dst, b.id) and eq(a.grp, b.grp),
+    ),
+    "e_multi": (
+        "V1", "VN", ("K",), True,
+        lambda a, b, k: eq(k.src, a.id) and eq(k.tag, b.name) and eq(k.dst, b.grp),
+    ),
+}
+
+
+def brute_force(steps) -> dict:
+    """Every declared view's arrays from the ingested rows alone."""
+    tables = {t: [] for t in ROW}
+    for kind, arg in steps:
+        if kind == "ingest":
+            tables[arg[0]] += [ROW[arg[0]](*r) for r in arg[1]]
+    declared = [arg.split()[2].split("(")[0] for kind, arg in steps if kind == "ddl"]
+    out = {}
+    for name in declared:
+        if name in VERTEX_REF:
+            table, key, where = VERTEX_REF[name]
+            vid_of, rows, row_vids, rep_rows = {}, [], [], []
+            for i, r in enumerate(tables[table]):
+                if not where(r) or any(null(v) for v in key(r)):
+                    continue
+                if key(r) not in vid_of:
+                    vid_of[key(r)] = len(rep_rows)
+                    rep_rows.append(i)
+                rows.append(i)
+                row_vids.append(vid_of[key(r)])
+            out[name] = {
+                "rows": rows, "row_vids": row_vids, "rep_rows": rep_rows,
+                "num_vertices": len(rep_rows), "one_to_one": len(rep_rows) == len(rows),
+            }
+        elif name in EDGE_REF:
+            source, target, others, assoc, where = EDGE_REF[name]
+            s, t = out[source], out[target]
+            s_rows, t_rows = tables[VERTEX_REF[source][0]], tables[VERTEX_REF[target][0]]
+            edges = set()
+            for (si, sv), (ti, tv) in product(
+                zip(s["rows"], s["row_vids"]), zip(t["rows"], t["row_vids"])
+            ):
+                for combo in product(*(enumerate(tables[o]) for o in others)):
+                    if where(s_rows[si], t_rows[ti], *(r for _, r in combo)):
+                        edges.add((combo[0][0], sv, tv) if assoc else (sv, tv))
+            edges = sorted(edges)  # the canonical eid order
+            *_, src, tgt = [list(c) for c in zip(*edges)] or [[], []]
+            out[name] = {
+                "src_vids": src, "tgt_vids": tgt,
+                "assoc_rows": [e[0] for e in edges] if assoc else None,
+            }
+            for side, frm, to, n in (
+                ("fwd", src, tgt, s["num_vertices"]), ("rev", tgt, src, t["num_vertices"])
+            ):
+                runs = [[e for e in range(len(edges)) if frm[e] == v] for v in range(n)]
+                eids = [e for run in runs for e in run]
+                out[name].update({
+                    f"{side}.indptr": [0, *np.cumsum([len(run) for run in runs]).tolist()],
+                    f"{side}.neighbors": [to[e] for e in eids],
+                    f"{side}.eids": eids,
+                })
+    return out
+
+
+def assert_matches_brute_force(got: GraphDB, steps) -> None:
+    have = derived_arrays(got)
+    for name, fields in brute_force(steps).items():
+        for field, want in fields.items():
+            x = have[name][field]
+            x = x.tolist() if isinstance(x, np.ndarray) else x
+            assert x == want, (name, field, x, want)
+
+
 @given(schedules())
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_delta_refresh_is_array_identical_to_one_shot_build(steps):
@@ -190,6 +307,7 @@ def test_delta_refresh_is_array_identical_to_one_shot_build(steps):
         else:
             db.ingest_rows(*arg)
         assert_same_arrays(db, one_shot(steps[:done]))
+        assert_matches_brute_force(db, steps[:done])
         assert db.check_partition_invariants()
 
 

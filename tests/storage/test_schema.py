@@ -80,15 +80,30 @@ class TestHashIndex:
 class TestSortedIndex:
     def test_lookup_many(self):
         codes = np.asarray([3, 1, 3, 2, 1], dtype=np.int64)
-        idx = SortedIndex(codes)
-        rows, qidx = idx.lookup_many(np.asarray([1, 3], dtype=np.int64))
+        idx = SortedIndex([codes])
+        rows, qidx = idx.lookup_many([np.asarray([1, 3], dtype=np.int64)])
         got = sorted(zip(qidx.tolist(), rows.tolist()))
         assert got == [(0, 1), (0, 4), (1, 0), (1, 2)]
 
     def test_lookup_no_match(self):
-        idx = SortedIndex(np.asarray([5, 6], dtype=np.int64))
-        rows, qidx = idx.lookup_many(np.asarray([1], dtype=np.int64))
+        idx = SortedIndex([np.asarray([5, 6], dtype=np.int64)])
+        rows, qidx = idx.lookup_many([np.asarray([1], dtype=np.int64)])
         assert len(rows) == 0 and len(qidx) == 0
+
+    def test_composite_key_lookup_and_extend(self):
+        # a skewed leading column: the lookup must narrow on both
+        a = np.asarray([0, 0, 1, 0], dtype=np.int64)
+        b = np.asarray(["x", "y", "x", "x"], dtype=object)
+        idx = SortedIndex([a, b])
+        more = idx.extended(
+            [np.asarray([0, 1], dtype=np.int64), np.asarray(["y", "x"], dtype=object)],
+            np.asarray([4, 5], dtype=np.int64),
+        )
+        queries = [np.asarray([0, 1, 1], dtype=np.int64), np.asarray(["y", "x", "y"], dtype=object)]
+        rows, qidx = idx.lookup_many(queries)
+        assert list(zip(qidx.tolist(), rows.tolist())) == [(0, 1), (1, 2)]
+        rows, qidx = more.lookup_many(queries)
+        assert list(zip(qidx.tolist(), rows.tolist())) == [(0, 1), (0, 4), (1, 2), (1, 5)]
 
 
 class TestKeyHelpers:
