@@ -27,6 +27,7 @@ what-degraded-and-why surfaced on every ``StatementResult``.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Any, Mapping, Optional
 
 import numpy as np
@@ -37,7 +38,7 @@ from repro.dist.dist_query import DistFrontierExecutor
 from repro.dist.faults import FaultInjector
 from repro.dist.partition import Partitioner, Placement, build_edge_shards
 from repro.dist.recovery import CircuitBreaker, RecoveryStats
-from repro.errors import BackendError, DegradedMode, ExecutionError
+from repro.errors import BackendError, DegradedMode
 from repro.graph.graphdb import GraphDB
 from repro.graql.ast import GraphSelect, INTO_SUBGRAPH, Statement
 from repro.graql.parser import parse_script
@@ -45,18 +46,13 @@ from repro.graql.params import substitute_statement
 from repro.graql.typecheck import CheckedGraphSelect, check_statement
 from repro.obs.options import QueryOptions, resolve_options
 from repro.obs.profile import QueryProfile
+from repro.obs.trace import Tracer
 from repro.query.executor import (
     StatementResult,
-    _atom_profile,
-    _fill_set_actuals,
-    _label_def_ref_pairs,
-    _sizes,
+    _execute_graph_select,
+    execute_checked,
     execute_statement,
 )
-from repro.query.planner import plan_graph_select
-from repro.query.results import NameMap, subgraph_from_sets
-
-MAX_REFINE_ROUNDS = 4
 
 
 class Cluster:
@@ -104,9 +100,9 @@ class Cluster:
         return self.placement.replication
 
     def rebuild(self) -> None:
-        """Re-shard after ingest/DDL changed the graph."""
+        """Re-shard after ingest/DDL changed the graph.  The catalog is
+        the statement path's to refresh (once, from the ingest delta)."""
         self.shards = build_edge_shards(self.db, self.partitioner)
-        self.catalog.refresh(self.db)
 
     # ------------------------------------------------------------------
     # Execution
@@ -152,10 +148,10 @@ class Cluster:
             ):
                 if stmt.into is None or stmt.into.kind == INTO_SUBGRAPH:
                     return self._run_distributed_or_degrade(
-                        checked, stmt, timeout_s, opts
+                        checked, timeout_s, opts
                     )
         result = execute_statement(self.db, self.catalog, stmt, options=opts)
-        if stmt.__class__.__name__ in ("CreateTable", "CreateVertex", "CreateEdge", "Ingest"):
+        if result.kind.is_write:
             self.rebuild()
         return result
 
@@ -167,11 +163,9 @@ class Cluster:
     def _run_distributed_or_degrade(
         self,
         checked: CheckedGraphSelect,
-        stmt: GraphSelect,
         timeout_s: Optional[float],
-        options: Optional[QueryOptions] = None,
+        opts: QueryOptions,
     ) -> StatementResult:
-        opts = resolve_options(options)
         if self.breaker.allow():
             try:
                 result = self.run_graph_select(
@@ -190,7 +184,7 @@ class Cluster:
                 "single-node fallback is disabled"
             )
         self.degraded_statements += 1
-        result = execute_statement(self.db, self.catalog, stmt, options=opts)
+        result = execute_checked(self.db, self.catalog, checked, opts)
         result.degraded = True
         result.degraded_reason = reason
         return result
@@ -201,27 +195,12 @@ class Cluster:
         timeout_s: Optional[float] = None,
         options: Optional[QueryOptions] = None,
     ) -> StatementResult:
-        """Distributed set-semantics execution of a graph select."""
-        opts = resolve_options(options)
-        stmt = checked.stmt
-        profile = QueryProfile(kind="subgraph") if opts.profile else None
-        t_plan = time.perf_counter()
-        plan = plan_graph_select(
-            checked, self.catalog, opts.direction, force_strategy="set"
-        )
-        atoms = checked.pattern.atoms()
-        ordinals = {id(a): i for i, a in enumerate(atoms)}
-        if profile is not None:
-            profile.add_stage("plan", (time.perf_counter() - t_plan) * 1000.0)
-            profile.strategy = plan.strategy
-            profile.atoms = [
-                _atom_profile(i, a, plan.plan_for(a)) for i, a in enumerate(atoms)
-            ]
-        name_map = NameMap()
-        for i, a in enumerate(atoms):
-            name_map.add_atom(i, a)
+        """Distributed set-semantics execution of a graph select: the
+        single-node statement path, swept on the partitioned driver."""
+        opts = replace(resolve_options(options), strategy="set")
+        profile = QueryProfile() if opts.profile else None
+        tracer = Tracer() if (opts.trace and profile is not None) else None
         budget = timeout_s if timeout_s is not None else self.statement_timeout_s
-        deadline = time.monotonic() + budget if budget is not None else None
         recovery = RecoveryStats()
         faults0 = self.fault_stats()
         fx = DistFrontierExecutor(
@@ -233,79 +212,24 @@ class Cluster:
             recovery=recovery,
             max_retries=self.max_retries,
             backoff_base_s=self.backoff_base_s,
-            deadline=deadline,
+            deadline=time.monotonic() + budget if budget is not None else None,
             profile=profile,
         )
-        results: dict[int, object] = {}
-        t_exec = time.perf_counter()
-
-        def run_all():
-            for a in atoms:
-                results[ordinals[id(a)]] = fx.run_atom(a, plan.plan_for(a).direction)
-
-        run_all()
-        pairs = _label_def_ref_pairs(atoms, ordinals)
-        for _ in range(MAX_REFINE_ROUNDS):
-            changed = False
-            for label, (d_ord, d_pos), refs in pairs:
-                def_sets = results[d_ord].vertex_sets.get(d_pos, {})
-                refined = def_sets
-                for r_ord, r_pos in refs:
-                    ref_sets = results[r_ord].vertex_sets.get(r_pos, {})
-                    refined = {
-                        t: np.intersect1d(
-                            v, ref_sets.get(t, np.empty(0, dtype=np.int64))
-                        )
-                        for t, v in refined.items()
-                    }
-                refined = {t: v for t, v in refined.items() if len(v)}
-                if _sizes(refined) != _sizes(def_sets):
-                    fx.pin_labels[label] = refined
-                    changed = True
-            if not changed:
-                break
-            fx.label_env.clear()
-            run_all()
-        if profile is not None:
-            profile.add_stage("execute", (time.perf_counter() - t_exec) * 1000.0)
-            _fill_set_actuals(profile, atoms, results)
-        result_name = stmt.into.name if stmt.into is not None else "result"
-        t_mat = time.perf_counter()
-        subgraph = subgraph_from_sets(
-            stmt,
-            [(a, results[i]) for i, a in enumerate(atoms)],
-            name_map,
-            result_name,
+        result = _execute_graph_select(
+            self.db, self.catalog, checked, opts, profile, tracer, fx
         )
-        if stmt.into is not None:
-            self.db.register_subgraph(subgraph)
-            self.catalog.register_subgraph(
-                subgraph.name, {k: len(v) for k, v in subgraph.vertices.items()}
-            )
         self.recovery_totals.merge(recovery)
+        result.recovery = recovery.snapshot()
         if profile is not None:
-            profile.add_stage("materialize", (time.perf_counter() - t_mat) * 1000.0)
-            profile.rows_out = subgraph.num_vertices
             d = profile.ensure_dist()
-            rec = recovery.snapshot()
-            d["failovers"] += rec.get("failovers", 0)
-            d["backoff_ms"] += rec.get("backoff_ms", 0.0)
-            d["extra_messages"] += rec.get("extra_messages", 0)
-            d["extra_bytes"] += rec.get("extra_bytes", 0)
-            faults1 = self.fault_stats()
+            for key in ("failovers", "backoff_ms", "extra_messages", "extra_bytes"):
+                d[key] += result.recovery[key]
             d["faults"] = {
                 k: v - faults0.get(k, 0)
-                for k, v in faults1.items()
+                for k, v in self.fault_stats().items()
                 if isinstance(v, (int, float)) and v - faults0.get(k, 0)
             }
-        return StatementResult(
-            "subgraph",
-            subgraph=subgraph,
-            count=subgraph.num_vertices,
-            plan=plan,
-            recovery=recovery.snapshot(),
-            profile=profile,
-        )
+        return result.attach_profile(profile, tracer)
 
     # ------------------------------------------------------------------
     # Metrics

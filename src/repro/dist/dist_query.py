@@ -1,27 +1,33 @@
-"""Distributed set-frontier path queries (BSP over edge-index shards).
+"""Distributed set-frontier path queries: a partitioned driver over the
+single-node step kernels.
 
-Each query step is one or two supersteps:
+:class:`DistFrontierExecutor` *is* a
+:class:`~repro.query.frontier.FrontierExecutor`.  The sweep (unroll,
+forward, cull, fold-back, labels), vertex filtering including the
+index-seek anchor, the ``allowed`` edge set and the statement path
+around them are inherited, so "bit-identical to single-node" holds by
+construction.  Only the two data-movement primitives are overridden:
 
-* **vertex step** — embarrassingly parallel: every worker filters the
-  frontier vids it owns against the step's condition/seed/label sets
-  (attributes of owned vertices are local by construction);
-* **edge step** — every worker expands its local forward (or reverse)
-  shard from its owned frontier slice, buckets the discovered endpoint
-  vids by owner, and the communicator routes the buckets (the messages
-  and bytes the benchmarks report).  Matched edge ids stay local to the
-  expanding worker.
+* ``_expand`` — split the frontier by owner, let every worker expand the
+  slice it owns on its own forward (or reverse) :class:`EdgeShard`,
+  bucket the discovered endpoints by owner and route the buckets through
+  ``comm.alltoall`` (the messages and bytes the benchmarks report);
+* ``_cull`` — the same exchange walked back from the surviving next-side
+  vertices over the opposite shards, keeping edges that land in the
+  previous frontier.
 
-The backward cull mirrors the forward pass with the opposite shards.
-Results are bit-identical to the single-node executor
-(:class:`repro.query.frontier.FrontierExecutor`) — a property the test
-suite asserts on randomized workloads.
+A frontier stays a global ``SetDict``: a worker's slice is a pure function
+of the vid (``vid % n``), so in this in-process simulation scattering is
+``split_by_owner`` and gathering is free — only the exchange is accounted.
+A real transport plugs in behind ``Communicator.alltoall`` and keeps each
+slice resident on its worker between the two primitives.
 
-**Fault tolerance** (docs/RELIABILITY.md): each communication superstep
-is a natural checkpoint — its inputs (the ``forward[i]``/``culled[i]``
-frontier state) are retained by ``run_atom``, so when a barrier fails
-(a worker fail-stops, a message is dropped or corrupted) only the
-affected superstep is re-run, with exponential backoff.  A fail-stopped
-worker's partitions fail over to their replicas via the
+**Fault tolerance** (docs/RELIABILITY.md): one primitive call is one
+superstep and the retry/checkpoint unit.  Its inputs are frontier state
+the sweep already retains (``forward[i]``/``culled[i]``), so when a barrier
+fails (a worker fail-stops, a message is dropped or corrupted) only that
+superstep is re-run, with exponential backoff.  A fail-stopped worker's
+partitions fail over to their replicas via the
 :class:`~repro.dist.partition.Placement` before the retry; the retry
 budget, backoff, and the failed attempts' extra traffic are tallied in
 :class:`~repro.dist.recovery.RecoveryStats`.
@@ -42,56 +48,19 @@ from repro.errors import (
     WorkerFailed,
 )
 from repro.graph.graphdb import GraphDB
-from repro.graql.ast import DIR_OUT
-from repro.graql.typecheck import RAtom, REdgeStep, RRegex, RVertexStep
-from repro.query.frontier import (
-    AtomSets,
-    SetDict,
-    _in_sorted,
-    _intersect_sorted,
-    _union,
-    reverse_steps,
-    unroll_counted_regexes,
-)
+from repro.query.frontier import _EMPTY, FrontierExecutor, SetDict, _in_sorted
 from repro.dist.comm import Communicator
 from repro.dist.partition import EdgeShard, Partitioner, Placement
 from repro.dist.recovery import RecoveryStats
 
-_EMPTY = np.empty(0, dtype=np.int64)
 
-# A distributed frontier: type name -> per-worker owned vid arrays
-DistSets = dict[str, list[np.ndarray]]
-
-
-def _dist_empty(num_workers: int) -> DistSets:
-    return {}
+def _cat_unique(parts: list[np.ndarray]) -> np.ndarray:
+    return np.unique(np.concatenate(parts)) if parts else _EMPTY
 
 
-def _gather(sets: DistSets) -> SetDict:
-    """Collapse a distributed frontier into global per-type sets."""
-    out: SetDict = {}
-    for t, parts in sets.items():
-        arrs = [p for p in parts if len(p)]
-        if arrs:
-            out[t] = np.unique(np.concatenate(arrs))
-    return out
-
-
-def _scatter(sets: SetDict, partitioner: Partitioner) -> DistSets:
-    """Split global per-type sets into per-owner slices."""
-    out: DistSets = {}
-    for t, vids in sets.items():
-        out[t] = partitioner.split_by_owner(vids)
-    return out
-
-
-def _dist_size(sets: DistSets) -> int:
-    """Total frontier cardinality across workers and types."""
-    return int(sum(len(p) for parts in sets.values() for p in parts))
-
-
-class DistFrontierExecutor:
-    """Distributed analogue of :class:`FrontierExecutor`."""
+class DistFrontierExecutor(FrontierExecutor):
+    """:class:`FrontierExecutor` whose edge steps run as BSP exchanges over
+    per-worker edge shards."""
 
     def __init__(
         self,
@@ -107,12 +76,10 @@ class DistFrontierExecutor:
         deadline: Optional[float] = None,
         profile=None,
     ) -> None:
-        self.db = db
+        super().__init__(db, label_env, profile)
         self.shards = shards
         self.partitioner = partitioner
         self.comm = comm
-        self.label_env: dict[str, SetDict] = label_env if label_env is not None else {}
-        self.pin_labels: dict[str, SetDict] = {}
         self.placement = placement
         self.recovery = recovery if recovery is not None else RecoveryStats()
         self.max_retries = max_retries
@@ -121,9 +88,6 @@ class DistFrontierExecutor:
         self.deadline = deadline
         #: per-worker count of edges expanded (load-balance metric)
         self.work_per_worker = np.zeros(partitioner.num_workers, dtype=np.int64)
-        #: optional QueryProfile; per-superstep frontier sizes, message
-        #: and byte deltas, and retries are recorded into its dist block
-        self.profile = profile
 
     # ------------------------------------------------------------------
     # Fault handling: checkpointed superstep retry with failover
@@ -212,244 +176,70 @@ class DistFrontierExecutor:
             )
 
     # ------------------------------------------------------------------
-    def _vertex_select(self, step: RVertexStep, incoming: Optional[DistSets]) -> DistSets:
-        n = self.partitioner.num_workers
-        out: DistSets = {}
-        for t in step.types:
-            vt = self.db.vertex_type(t)
-            parts: list[np.ndarray] = []
-            for w in range(n):
-                if incoming is None:
-                    cands = self.partitioner.local_vids(w, vt.num_vertices)
-                else:
-                    cands = incoming.get(t, [_EMPTY] * n)[w]
-                if step.seed is not None and len(cands):
-                    cands = _intersect_sorted(
-                        cands, self.db.subgraph(step.seed).vertex_ids(t)
-                    )
-                if step.label_ref is not None and len(cands):
-                    sets = self.label_env.get(step.label_ref, {})
-                    cands = _intersect_sorted(cands, sets.get(t, _EMPTY))
-                if (
-                    step.label is not None
-                    and step.label.name in self.pin_labels
-                    and len(cands)
-                ):
-                    pin = self.pin_labels[step.label.name]
-                    cands = _intersect_sorted(cands, pin.get(t, _EMPTY))
-                if step.cond is not None and len(cands):
-                    cands = vt.select(step.cond, cands)
-                parts.append(np.unique(cands))
-            if any(len(p) for p in parts):
-                out[t] = parts
-        return out
+    # The overridden data-movement primitives
+    # ------------------------------------------------------------------
+    def _expand(
+        self, ename: str, along: bool, fr: np.ndarray, allowed: Optional[np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        return self._exchange("expand", ename, along, fr, allowed)
 
-    def _edge_expand(
+    def _cull(
         self,
-        step: REdgeStep,
-        prev: DistSets,
-        next_types: list[str],
-        allowed_edges: Optional[SetDict] = None,
-    ) -> tuple[DistSets, SetDict]:
-        """One distributed edge step: local expand + alltoall exchange."""
-        n = self.partitioner.num_workers
-        # per (target type): outbox[src_worker][dst_worker] vid arrays
-        frontier: DistSets = {}
-        matched: SetDict = {}
-        for ename in step.names:
-            et = self.db.edge_type(ename)
-            along = step.direction == DIR_OUT
-            from_type = et.source.name if along else et.target.name
-            to_type = et.target.name if along else et.source.name
-            if to_type not in next_types or from_type not in prev:
-                continue
-            allowed = None
-            if step.cond is not None:
-                allowed = np.sort(et.select(step.cond))
-            if allowed_edges is not None:
-                extra = allowed_edges.get(ename, _EMPTY)
-                allowed = extra if allowed is None else _intersect_sorted(allowed, extra)
+        ename: str,
+        along: bool,
+        eids: np.ndarray,
+        next_vids: np.ndarray,
+        prev_vids: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # walk back from the survivors over the opposite shards
+        return self._exchange("cull", ename, not along, next_vids, eids, prev_vids)
+
+    def _regex_closure(self, group, start, allowed_edges=None):
+        raise ExecutionError(
+            "unbounded path regular expressions are not supported on "
+            "the distributed backend — run them single-node"
+        )
+
+    def _exchange(
+        self,
+        phase: str,
+        ename: str,
+        along: bool,
+        fr: np.ndarray,
+        allowed: Optional[np.ndarray],
+        keep: Optional[np.ndarray] = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One superstep: local expand + alltoall exchange, retried on
+        barrier faults.  Returns (endpoints reached, eids walked), both
+        sorted unique; with *keep*, only endpoints inside it count."""
+
+        def attempt() -> tuple[np.ndarray, np.ndarray]:
+            n = self.partitioner.num_workers
             outboxes: list[list[Optional[np.ndarray]]] = [
                 [None] * n for _ in range(n)
             ]
-            local_eids: list[np.ndarray] = []
-            for w in range(n):
-                fr = prev[from_type][w]
-                if len(fr) == 0:
-                    local_eids.append(_EMPTY)
+            walked: list[np.ndarray] = []
+            for w, owned in enumerate(self.partitioner.split_by_owner(fr)):
+                if len(owned) == 0:
                     continue
                 shard = self.shards[w][ename]
                 index = shard.forward if along else shard.reverse
-                _, tgts, eids = index.expand_restricted(fr, allowed)
+                _, tgts, eids = index.expand_restricted(owned, allowed)
                 self.work_per_worker[self._phys(w)] += len(eids)
-                if self.profile is not None:
-                    self.profile.index_hits += 1
-                    self.profile.edges_scanned += len(eids)
-                local_eids.append(np.unique(eids))
-                if len(tgts):
-                    buckets = self.partitioner.split_by_owner(np.unique(tgts))
-                    for dst in range(n):
-                        if len(buckets[dst]):
-                            outboxes[w][dst] = buckets[dst]
-            inboxes = self.comm.alltoall(outboxes)
-            parts: list[np.ndarray] = []
-            for w in range(n):
-                received = [p for p in inboxes[w] if p is not None and len(p)]
-                parts.append(
-                    np.unique(np.concatenate(received)) if received else _EMPTY
-                )
-            if any(len(p) for p in parts):
-                prior = frontier.get(to_type)
-                if prior is None:
-                    frontier[to_type] = parts
-                else:
-                    frontier[to_type] = [
-                        np.union1d(a, b) for a, b in zip(prior, parts)
-                    ]
-            eids_all = [e for e in local_eids if len(e)]
-            if eids_all:
-                matched = _union(matched, {ename: np.unique(np.concatenate(eids_all))})
-        return frontier, matched
-
-    # ------------------------------------------------------------------
-    def run_atom(self, atom: RAtom, direction: str = "forward") -> AtomSets:
-        tagged = unroll_counted_regexes(atom.steps)
-        if direction == "backward":
-            tagged = reverse_steps(tagged)
-        steps = [s for s, _ in tagged]
-        for s in steps:
-            if isinstance(s, RRegex):
-                raise ExecutionError(
-                    "unbounded path regular expressions are not supported on "
-                    "the distributed backend — run them single-node"
-                )
-        n_steps = len(steps)
-        forward: list[DistSets | SetDict] = [dict() for _ in range(n_steps)]
-        assert isinstance(steps[0], RVertexStep)
-        forward[0] = self._vertex_select(steps[0], None)
-        self._record_label(steps[0], forward[0])
-        i = 1
-        while i < n_steps:
-            estep, vstep = steps[i], steps[i + 1]
-            assert isinstance(estep, REdgeStep) and isinstance(vstep, RVertexStep)
-            # the superstep reads only checkpointed frontier state
-            # (forward[i-1]), so a barrier fault re-runs just this step
-            with self._profiled("expand") as done:
-                frontier, eids = self._superstep(
-                    lambda e=estep, f=forward[i - 1], t=vstep.types: self._edge_expand(
-                        e, f, t
-                    )
-                )
-                forward[i] = eids  # SetDict (global eids)
-                forward[i + 1] = self._vertex_select(vstep, frontier)
-                done(_dist_size(forward[i + 1]))
-            self._record_label(vstep, forward[i + 1])
-            i += 2
-        # ---- backward cull (distributed, same exchange pattern)
-        culled: list[DistSets | SetDict] = [dict() for _ in range(n_steps)]
-        culled[n_steps - 1] = forward[n_steps - 1]
-        i = n_steps - 2
-        while i > 0:
-            estep = steps[i]
-            assert isinstance(estep, REdgeStep)
-            with self._profiled("cull") as done:
-                prev, kept = self._superstep(
-                    lambda e=estep, cn=culled[i + 1], fp=forward[i - 1], fe=forward[
-                        i
-                    ]: self._cull_edge(e, cn, fp, fe)
-                )
-                culled[i] = kept
-                culled[i - 1] = prev
-                done(_dist_size(prev))
-            i -= 2
-        result = AtomSets(len(atom.steps))
-        for pos, (step, idx) in enumerate(tagged):
-            if isinstance(step, RVertexStep):
-                sets = _gather(culled[pos])
-                prior = result.vertex_sets.get(idx, {})
-                result.vertex_sets[idx] = _union(prior, sets) if prior else sets
-            else:
-                prior = result.edge_sets.get(idx, {})
-                result.edge_sets[idx] = (
-                    _union(prior, culled[pos]) if prior else culled[pos]
-                )
-        for pos, (step, _) in enumerate(tagged):
-            if isinstance(step, RVertexStep):
-                self._record_label_global(step, _gather(culled[pos]))
-        return result
-
-    def _cull_edge(
-        self,
-        estep: REdgeStep,
-        culled_next: DistSets,
-        forward_prev: DistSets,
-        forward_edges: SetDict,
-    ) -> tuple[DistSets, SetDict]:
-        """Cull: expand from culled-next via opposite shards, keep edges
-        landing in forward-prev, route survivors to their owners."""
-        flipped = REdgeStep(
-            list(estep.names),
-            "in" if estep.direction == DIR_OUT else "out",
-            estep.cond,
-            estep.label,
-            estep.is_variant,
-            estep.label_ref,
-        )
-        prev_global = _gather(forward_prev)
-        n = self.partitioner.num_workers
-        kept: SetDict = {}
-        culled_prev: DistSets = {}
-        for ename in flipped.names:
-            et = self.db.edge_type(ename)
-            along = flipped.direction == DIR_OUT
-            from_type = et.source.name if along else et.target.name
-            to_type = et.target.name if along else et.source.name
-            if from_type not in culled_next or to_type not in prev_global:
-                continue
-            allowed = np.sort(forward_edges.get(ename, _EMPTY))
-            outboxes: list[list[Optional[np.ndarray]]] = [[None] * n for _ in range(n)]
-            local_keep: list[np.ndarray] = []
-            for w in range(n):
-                fr = culled_next[from_type][w]
-                if len(fr) == 0:
+                if keep is not None:
+                    mask = _in_sorted(tgts, keep)
+                    tgts, eids = tgts[mask], eids[mask]
+                if len(eids) == 0:
                     continue
-                shard = self.shards[w][ename]
-                index = shard.forward if along else shard.reverse
-                _, tgts, eids = index.expand_restricted(fr, allowed)
-                self.work_per_worker[self._phys(w)] += len(eids)
-                if self.profile is not None:
-                    self.profile.index_hits += 1
-                    self.profile.edges_scanned += len(eids)
-                mask = _in_sorted(tgts, prev_global.get(to_type, _EMPTY))
-                if mask.any():
-                    local_keep.append(np.unique(eids[mask]))
-                    buckets = self.partitioner.split_by_owner(np.unique(tgts[mask]))
-                    for dst in range(n):
-                        if len(buckets[dst]):
-                            outboxes[w][dst] = buckets[dst]
+                walked.append(eids)
+                for dst, bucket in enumerate(self.partitioner.split_by_owner(tgts)):
+                    if len(bucket):
+                        outboxes[w][dst] = bucket
             inboxes = self.comm.alltoall(outboxes)
-            parts: list[np.ndarray] = []
-            for w in range(n):
-                received = [p for p in inboxes[w] if p is not None and len(p)]
-                parts.append(
-                    np.unique(np.concatenate(received)) if received else _EMPTY
-                )
-            if any(len(p) for p in parts):
-                prior = culled_prev.get(to_type)
-                if prior is None:
-                    culled_prev[to_type] = parts
-                else:
-                    culled_prev[to_type] = [
-                        np.union1d(a, b) for a, b in zip(prior, parts)
-                    ]
-            if local_keep:
-                kept = _union(kept, {ename: np.unique(np.concatenate(local_keep))})
-        return culled_prev, kept
+            received = [p for inbox in inboxes for p in inbox if p is not None]
+            return _cat_unique(received), _cat_unique(walked)
 
-    def _record_label(self, step: RVertexStep, sets: DistSets) -> None:
-        if step.label is not None:
-            self.label_env[step.label.name] = _gather(sets)
-
-    def _record_label_global(self, step: RVertexStep, sets: SetDict) -> None:
-        if step.label is not None:
-            self.label_env[step.label.name] = {t: v.copy() for t, v in sets.items()}
+        with self._profiled(phase) as done:
+            tgts, eids = self._superstep(attempt)
+            done(len(tgts))
+        return tgts, eids

@@ -151,6 +151,28 @@ class StatementResult:
         #: result unless QueryOptions(profile=False); docs/OBSERVABILITY.md
         self.profile = profile
 
+    def attach_profile(
+        self, profile: Optional[QueryProfile], tracer: Optional[Tracer]
+    ) -> "StatementResult":
+        """Close out what execution measured and hang it on the result."""
+        if profile is not None:
+            profile.kind = self.kind
+            profile.rows_out = self.count
+            if tracer is not None and tracer.roots:
+                profile.trace = tracer.roots[0] if len(tracer.roots) == 1 else None
+                if profile.trace is None:
+                    # several top-level spans: wrap them under a synthetic root
+                    # spanning from the first child's start to the last's end
+                    from repro.obs.trace import Span
+
+                    root = Span("statement")
+                    root.children = tracer.roots
+                    root.start_s = tracer.roots[0].start_s
+                    root.end_s = tracer.roots[-1].end_s
+                    profile.trace = root
+            self.profile = profile
+        return self
+
     def __repr__(self) -> str:
         if self.kind == "table" and self.table is not None:
             return f"StatementResult(table {self.table.name!r}, rows={self.table.num_rows})"
@@ -184,7 +206,7 @@ def execute_statement(
     profile = QueryProfile() if opts.profile else None
     tracer = Tracer() if (opts.trace and profile is not None) else None
     result = _dispatch_statement(db, catalog, stmt, params, opts, profile, tracer)
-    return _finish_result(result, profile, tracer)
+    return result.attach_profile(profile, tracer)
 
 
 def execute_checked(
@@ -207,31 +229,7 @@ def execute_checked(
     tracer = Tracer() if (opts.trace and profile is not None) else None
     stmt = checked.stmt if isinstance(checked, CheckedGraphSelect) else checked
     result = _execute_resolved(db, catalog, stmt, checked, opts, profile, tracer)
-    return _finish_result(result, profile, tracer)
-
-
-def _finish_result(
-    result: StatementResult,
-    profile: Optional[QueryProfile],
-    tracer: Optional[Tracer],
-) -> StatementResult:
-    if profile is not None:
-        profile.kind = result.kind
-        profile.rows_out = result.count
-        if tracer is not None and tracer.roots:
-            profile.trace = tracer.roots[0] if len(tracer.roots) == 1 else None
-            if profile.trace is None:
-                # several top-level spans: wrap them under a synthetic root
-                # spanning from the first child's start to the last's end
-                from repro.obs.trace import Span
-
-                root = Span("statement")
-                root.children = tracer.roots
-                root.start_s = tracer.roots[0].start_s
-                root.end_s = tracer.roots[-1].end_s
-                profile.trace = root
-        result.profile = profile
-    return result
+    return result.attach_profile(profile, tracer)
 
 
 def _dispatch_statement(
@@ -346,7 +344,14 @@ def _execute_graph_select(
     opts: QueryOptions,
     profile: Optional[QueryProfile] = None,
     tracer: Optional[Tracer] = None,
+    fx: Optional[FrontierExecutor] = None,
 ) -> StatementResult:
+    """Plan, run and materialise one graph select.
+
+    *fx* is the frontier executor the set strategy sweeps on — the
+    cluster passes its partitioned driver; None means a fresh
+    single-node :class:`FrontierExecutor`.
+    """
     stmt = checked.stmt
     with _stage("plan", profile, tracer):
         plan = plan_graph_select(
@@ -367,7 +372,8 @@ def _execute_graph_select(
     if plan.strategy == "set":
         with _stage("execute", profile, tracer):
             atom_results = _run_set(
-                db, checked, plan, atoms, ordinals, profile, tracer
+                fx if fx is not None else FrontierExecutor(db, profile=profile),
+                plan, atoms, ordinals, tracer,
             )
         if profile is not None:
             _fill_set_actuals(profile, atoms, atom_results)
@@ -500,10 +506,10 @@ def _fill_bindings_actuals(
 
 
 def _run_set(
-    db, checked, plan, atoms, ordinals, profile=None, tracer=None
+    fx: FrontierExecutor, plan, atoms, ordinals, tracer=None
 ) -> dict[int, AtomSets]:
-    """Run all atoms under set semantics with and-composition refinement."""
-    fx = FrontierExecutor(db, profile=profile)
+    """Run all atoms on *fx* under set semantics with and-composition
+    refinement."""
     results: dict[int, AtomSets] = {}
 
     def run_all():

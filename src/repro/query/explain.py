@@ -225,15 +225,6 @@ def plan_statement(
     return _plan_graph_select(checked, catalog, hints)
 
 
-def explain_statement(
-    stmt: Statement,
-    catalog: Catalog,
-    params: Optional[Mapping[str, Any]] = None,
-) -> str:
-    """One statement's plan as indented text (legacy string form)."""
-    return plan_statement(stmt, catalog, params).to_text()
-
-
 def _plan_table_select(stmt: TableSelect, catalog: Catalog) -> PlanNode:
     children = []
     meta = catalog.tables.get(stmt.source)
@@ -468,15 +459,13 @@ def explain_report(
     hints=None,
 ) -> ExplainReport:
     """Plan every statement of a script, plus its dependence schedule."""
-    import copy
-
     from repro.engine.scheduler import build_schedule
     from repro.graql.parser import parse_script
     from repro.graql.typecheck import _apply_ddl_to_catalog
 
     script = parse_script(source)
     schedule = build_schedule(script, catalog)
-    scratch = copy.deepcopy(catalog)
+    scratch = catalog.scratch_copy()
     plans = []
     for i, stmt in enumerate(script.statements):
         wave = next(w for w, idx in enumerate(schedule.waves) if i in idx)
@@ -488,16 +477,6 @@ def explain_report(
     return ExplainReport(
         "plan", tuple(plans), schedule.num_waves, schedule.max_parallelism
     )
-
-
-def explain_script(
-    source: str,
-    catalog: Catalog,
-    params: Optional[Mapping[str, Any]] = None,
-    hints=None,
-) -> ExplainReport:
-    """Alias of :func:`explain_report` (kept for API continuity)."""
-    return explain_report(source, catalog, params, hints)
 
 
 def explain_analyze(

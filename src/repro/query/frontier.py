@@ -267,6 +267,41 @@ class FrontierExecutor:
                 out[t] = np.unique(cands)
         return out
 
+    def _expand(
+        self, ename: str, along: bool, fr: np.ndarray, allowed: Optional[np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Endpoints and eids of the *ename* edges that leave frontier *fr*
+        along (True) or against (False) the declared direction, restricted
+        to the sorted eid set *allowed* (None: all).
+
+        With :meth:`_cull`, the only data movement of a sweep: a
+        partitioned back end overrides these two and inherits the rest.
+        """
+        _, tgts, eids = self.db.index(ename).direction(along).expand_restricted(
+            fr, allowed
+        )
+        return tgts, eids
+
+    def _cull(
+        self,
+        ename: str,
+        along: bool,
+        eids: np.ndarray,
+        next_vids: np.ndarray,
+        prev_vids: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Of the forward-matched *eids* (sorted) of a step walked in
+        orientation *along*, keep those joining *prev_vids* to *next_vids*.
+        Returns (prev-side endpoints of the kept edges, kept eids sorted).
+        """
+        et = self.db.edge_type(ename)
+        src, tgt = et.src_vids[eids], et.tgt_vids[eids]
+        # walking prev->next along the declaration, next side is the target
+        nxt, prv = (tgt, src) if along else (src, tgt)
+        mask = _in_sorted(nxt, next_vids)
+        mask &= _in_sorted(prv, prev_vids)
+        return prv[mask], eids[mask]
+
     def _edge_expand(
         self,
         step: REdgeStep,
@@ -287,7 +322,6 @@ class FrontierExecutor:
             fr = prev_sets.get(from_type, _EMPTY)
             if len(fr) == 0:
                 continue
-            index = self.db.index(ename).direction(along)
             allowed = None
             if step.cond is not None:
                 allowed = np.sort(et.select(step.cond))
@@ -302,7 +336,7 @@ class FrontierExecutor:
             if allowed_edges is not None:
                 extra = allowed_edges.get(ename, _EMPTY)
                 allowed = extra if allowed is None else _intersect_sorted(allowed, extra)
-            _, tgts, eids = index.expand_restricted(fr, allowed)
+            tgts, eids = self._expand(ename, along, fr, allowed)
             if self.profile is not None:
                 self.profile.index_hits += 1
                 self.profile.edges_scanned += len(eids)
@@ -497,17 +531,17 @@ class FrontierExecutor:
                 continue
             et = self.db.edge_type(ename)
             along = estep.direction == DIR_OUT
-            # when traversing prev->next along the declaration, next side
-            # is the target
             next_type = et.target.name if along else et.source.name
             prev_type = et.source.name if along else et.target.name
-            next_vids = et.tgt_vids[eids] if along else et.src_vids[eids]
-            prev_vids = et.src_vids[eids] if along else et.tgt_vids[eids]
-            mask = _in_sorted(next_vids, culled_next.get(next_type, _EMPTY))
-            mask &= _in_sorted(prev_vids, forward_prev.get(prev_type, _EMPTY))
-            if mask.any():
-                kept = _union(kept, {ename: eids[mask]})
-                culled_prev = _union(culled_prev, {prev_type: np.unique(prev_vids[mask])})
+            next_vids = culled_next.get(next_type, _EMPTY)
+            if len(next_vids) == 0:
+                continue
+            prev_vids, kept_eids = self._cull(
+                ename, along, eids, next_vids, forward_prev.get(prev_type, _EMPTY)
+            )
+            if len(kept_eids):
+                kept = _union(kept, {ename: kept_eids})
+                culled_prev = _union(culled_prev, {prev_type: np.unique(prev_vids)})
         return culled_prev, kept
 
     def _record_label(self, step: RVertexStep, sets: SetDict) -> None:

@@ -1,15 +1,16 @@
 """Tests for distributed-execution metrics and executor internals."""
 
-import numpy as np
 import pytest
 
 from repro.dist import Cluster
 from repro.dist.comm import Communicator
-from repro.dist.dist_query import DistFrontierExecutor, _gather, _scatter
+from repro.dist.dist_query import DistFrontierExecutor
 from repro.dist.partition import Partitioner, build_edge_shards
 from repro.errors import ExecutionError
 from repro.graql.parser import parse_statement
 from repro.graql.typecheck import check_statement
+from repro.workloads.berlin import berlin_database
+from tests.conftest import build_social_db
 
 
 def executor_for(db, workers):
@@ -21,21 +22,6 @@ def executor_for(db, workers):
 
 def atom_of(db, text):
     return check_statement(parse_statement(text), db.catalog).pattern.atoms()[0]
-
-
-class TestScatterGather:
-    def test_roundtrip(self):
-        p = Partitioner(3)
-        sets = {"T": np.asarray([0, 1, 2, 5, 7, 9], dtype=np.int64)}
-        dist = _scatter(sets, p)
-        back = _gather(dist)
-        assert back["T"].tolist() == sets["T"].tolist()
-
-    def test_scatter_ownership(self):
-        p = Partitioner(4)
-        dist = _scatter({"T": np.arange(10, dtype=np.int64)}, p)
-        for w, part in enumerate(dist["T"]):
-            assert all(v % 4 == w for v in part.tolist())
 
 
 class TestWorkAccounting:
@@ -124,3 +110,49 @@ class TestSuperstepAccounting:
             cluster.reset_stats()
             cluster.execute(q)
             assert cluster.comm_stats()["supersteps"] == expected
+
+
+class TestCommPinned:
+    """Un-faulted traffic of two fixed queries at 3 workers, with the
+    values measured before the executor became a driver over the shared
+    sweep: the S3B scaling numbers are a function of exactly these."""
+
+    TWO_HOP = (
+        "select * from graph Person ( ) --follows--> Person ( ) --follows--> "
+        "Person ( ) into subgraph Pinned"
+    )
+    S3B = (
+        "select * from graph PersonVtx (country = 'US') <--reviewer-- "
+        "ReviewVtx ( ) --reviewFor--> ProductVtx ( ) --producer--> "
+        "ProducerVtx ( ) into subgraph Pinned"
+    )
+
+    @pytest.mark.parametrize(
+        "build, query, messages, nbytes, supersteps, per_step",
+        [
+            (build_social_db, TWO_HOP, 16, 1168, 4,
+             [("expand", 4, 296), ("expand", 4, 288),
+              ("cull", 4, 288), ("cull", 4, 296)]),
+            # a private copy: `into` must not touch the session fixture
+            (lambda: berlin_database(scale=60, seed=7), S3B, 24, 2072, 6,
+             [("expand", 2, 256), ("expand", 6, 504), ("expand", 4, 288),
+              ("cull", 4, 368), ("cull", 6, 512), ("cull", 2, 144)]),
+        ],
+    )
+    def test_messages_bytes_supersteps(
+        self, build, query, messages, nbytes, supersteps, per_step
+    ):
+        db = build()
+        cluster = Cluster(db.db, 3, db.catalog)
+        result = cluster.execute(query)[0]
+        stats = cluster.comm_stats()
+        assert (stats["messages"], stats["bytes"], stats["supersteps"]) == (
+            messages, nbytes, supersteps
+        )
+        d = result.profile.dist
+        assert (d["messages"], d["bytes"], d["supersteps"]) == (
+            messages, nbytes, supersteps
+        )
+        assert [
+            (s["phase"], s["messages"], s["bytes"]) for s in d["steps"]
+        ] == per_step
