@@ -18,6 +18,7 @@ from typing import Any, Optional
 
 import numpy as np
 
+from repro.storage import idsets
 from repro.storage.expr import (
     BinOp,
     ColRef,
@@ -300,4 +301,8 @@ def distinct_count(arr: np.ndarray) -> int:
     """Number of distinct values in a column array (catalog refresh)."""
     if arr.dtype == np.dtype(object):
         return len({v for v in arr})
-    return int(len(np.unique(arr)))
+    if arr.dtype.kind == "f":
+        nan = np.isnan(arr)
+        if nan.any():  # NaNs count as one value, as np.unique counts them
+            return len(idsets.unique(arr[~nan])) + 1
+    return len(idsets.unique(arr))

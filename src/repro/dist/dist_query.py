@@ -48,14 +48,15 @@ from repro.errors import (
     WorkerFailed,
 )
 from repro.graph.graphdb import GraphDB
-from repro.query.frontier import _EMPTY, FrontierExecutor, SetDict, _in_sorted
+from repro.query.frontier import _EMPTY, FrontierExecutor, SetDict
+from repro.storage import idsets
 from repro.dist.comm import Communicator
 from repro.dist.partition import EdgeShard, Partitioner, Placement
 from repro.dist.recovery import RecoveryStats
 
 
 def _cat_unique(parts: list[np.ndarray]) -> np.ndarray:
-    return np.unique(np.concatenate(parts)) if parts else _EMPTY
+    return idsets.unique(np.concatenate(parts)) if parts else _EMPTY
 
 
 class DistFrontierExecutor(FrontierExecutor):
@@ -227,7 +228,7 @@ class DistFrontierExecutor(FrontierExecutor):
                 _, tgts, eids = index.expand_restricted(owned, allowed)
                 self.work_per_worker[self._phys(w)] += len(eids)
                 if keep is not None:
-                    mask = _in_sorted(tgts, keep)
+                    mask = idsets.in_sorted(tgts, keep)
                     tgts, eids = tgts[mask], eids[mask]
                 if len(eids) == 0:
                     continue

@@ -17,6 +17,7 @@ import numpy as np
 from repro.errors import WorkerFailed
 from repro.graph.edge_index import EdgeIndex
 from repro.graph.graphdb import GraphDB
+from repro.storage import idsets
 
 
 class Partitioner:
@@ -39,7 +40,7 @@ class Partitioner:
         """Partition an id array into per-owner buckets (sorted, unique)."""
         owners = self.owner_of(vids)
         return [
-            np.unique(vids[owners == w]) for w in range(self.num_workers)
+            idsets.unique(vids[owners == w]) for w in range(self.num_workers)
         ]
 
 

@@ -54,7 +54,7 @@ from repro.query.executor import StatementResult, execute_statement
 from repro.query.planner import plan_graph_select
 from repro.query.relational import execute_table_select
 from repro.query.results import JoinedBindings, NameMap, table_from_bindings
-from repro.storage import relops
+from repro.storage import idsets, relops
 from repro.storage.relops import AggSpec
 from repro.storage.table import Table
 
@@ -240,7 +240,7 @@ class PipelinedPair:
             vt = self.db.vertex_type(t)
             cands = vt.select(entry.cond) if not entry.cross_refs else np.arange(vt.num_vertices)
             if entry.seed is not None:
-                cands = np.intersect1d(
+                cands = idsets.intersect(
                     cands, self.db.subgraph(entry.seed).vertex_ids(t)
                 )
             per_type[t] = cands

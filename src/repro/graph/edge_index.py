@@ -26,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.storage import idsets
 from repro.storage.indexes import bisect_ranges
 
 
@@ -116,11 +117,7 @@ class EdgeIndex:
         srcs, tgts, eids = self.expand(frontier)
         if allowed_eids is None or len(eids) == 0:
             return srcs, tgts, eids
-        pos = np.searchsorted(allowed_eids, eids)
-        pos = np.minimum(pos, len(allowed_eids) - 1) if len(allowed_eids) else pos
-        mask = (
-            (allowed_eids[pos] == eids) if len(allowed_eids) else np.zeros(len(eids), dtype=bool)
-        )
+        mask = idsets.in_sorted(eids, allowed_eids)
         return srcs[mask], tgts[mask], eids[mask]
 
     def __repr__(self) -> str:

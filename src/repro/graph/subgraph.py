@@ -14,12 +14,14 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from repro.storage import idsets
+
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
 def _clean(ids: Iterable[int] | np.ndarray) -> np.ndarray:
     arr = np.asarray(list(ids) if not isinstance(ids, np.ndarray) else ids, dtype=np.int64)
-    return np.unique(arr)
+    return idsets.unique(arr)
 
 
 class Subgraph:
@@ -65,16 +67,16 @@ class Subgraph:
     def union(self, other: "Subgraph", name: str | None = None) -> "Subgraph":
         vertices: dict[str, np.ndarray] = {}
         for k in set(self.vertices) | set(other.vertices):
-            vertices[k] = np.union1d(self.vertex_ids(k), other.vertex_ids(k))
+            vertices[k] = idsets.union(self.vertex_ids(k), other.vertex_ids(k))
         edges: dict[str, np.ndarray] = {}
         for k in set(self.edges) | set(other.edges):
-            edges[k] = np.union1d(self.edge_ids(k), other.edge_ids(k))
+            edges[k] = idsets.union(self.edge_ids(k), other.edge_ids(k))
         return Subgraph(name or self.name, vertices, edges)
 
     def intersect_vertices(self, other: "Subgraph", name: str | None = None) -> "Subgraph":
         vertices: dict[str, np.ndarray] = {}
         for k in set(self.vertices) & set(other.vertices):
-            common = np.intersect1d(self.vertex_ids(k), other.vertex_ids(k))
+            common = idsets.intersect(self.vertex_ids(k), other.vertex_ids(k))
             if len(common):
                 vertices[k] = common
         return Subgraph(name or self.name, vertices, {})

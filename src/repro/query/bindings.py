@@ -37,10 +37,10 @@ from repro.graql.typecheck import RAtom, REdgeStep, RRegex, RVertexStep
 from repro.query.frontier import (
     AtomSets,
     FrontierExecutor,
-    _in_sorted,
     reverse_steps,
     unroll_counted_regexes,
 )
+from repro.storage import idsets
 from repro.storage.expr import Env, evaluate_predicate
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -284,8 +284,8 @@ class BindingExecutor:
             origin_rows = np.repeat(rows, counts)
             del origins
             allowed = allowed_edges.get(ename, _EMPTY)
-            mask = _in_sorted(eids, allowed)
-            mask &= _in_sorted(tgts, allowed_vertices.get(to_type, _EMPTY))
+            mask = idsets.in_sorted(eids, allowed)
+            mask &= idsets.in_sorted(tgts, allowed_vertices.get(to_type, _EMPTY))
             if not mask.any():
                 continue
             origin_parts.append(origin_rows[mask])

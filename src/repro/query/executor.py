@@ -63,6 +63,7 @@ from repro.query.results import (
     subgraph_from_sets,
     table_from_bindings,
 )
+from repro.storage import idsets
 from repro.storage.table import Table
 
 #: max and-composition refinement rounds under set semantics
@@ -497,12 +498,8 @@ def _fill_bindings_actuals(
         if aord < len(profile.atoms) and pos < len(profile.atoms[aord].steps):
             sp = profile.atoms[aord].steps[pos]
             joined = arrs[0] if len(arrs) == 1 else np.concatenate(arrs)
-            # plain set() beats np.unique by ~10x on the small columns
-            # that dominate here; keep unique for genuinely wide results
-            if joined.size <= 4096:
-                sp.actual = len(set(joined.tolist()))
-            else:
-                sp.actual = int(np.unique(joined).size)
+            # the sort-based dedup is cheap at every width
+            sp.actual = len(idsets.unique(joined))
 
 
 def _run_set(
@@ -536,7 +533,7 @@ def _run_set(
             for r_ord, r_pos in refs:
                 ref_sets = results[r_ord].vertex_sets.get(r_pos, {})
                 refined = {
-                    t: np.intersect1d(v, ref_sets.get(t, np.empty(0, dtype=np.int64)))
+                    t: idsets.intersect(v, ref_sets.get(t, np.empty(0, dtype=np.int64)))
                     for t, v in refined.items()
                 }
             refined = {t: v for t, v in refined.items() if len(v)}

@@ -15,10 +15,13 @@ vectorized sweeps over the CSR edge indexes:
    vertices that have no path to vertices selected at that step" holds
    exactly (asserted by the property-based tests against brute force).
 
-Frontiers are per-vertex-type dicts of sorted unique int64 vid arrays, so
-variant steps (Section II-B4) fall out naturally: a variant frontier just
-has entries for several types, and Eq. 12-style type-matched labels work
-because label membership is intersected per type.
+Frontiers are per-vertex-type dicts of sorted-unique int64 vid arrays
+(``SetDict``; edge sets likewise hold eids), so variant steps (Section
+II-B4) fall out naturally: a variant frontier just has entries for several
+types, and Eq. 12-style type-matched labels work because label membership
+is intersected per type.  :mod:`repro.storage.idsets` keeps that
+invariant: every union, intersection, difference and dedup of a set here
+is one of its sort-based kernels.
 
 Path regular expressions (Fig. 10) with ``+``/``*`` are fixpoint
 reachability over the group's pairs; ``{n}`` groups are unrolled before
@@ -35,6 +38,7 @@ from repro.errors import ExecutionError
 from repro.graph.graphdb import GraphDB
 from repro.graql.ast import DIR_IN, DIR_OUT, REGEX_COUNT, REGEX_STAR
 from repro.graql.typecheck import RAtom, REdgeStep, RRegex, RVertexStep
+from repro.storage import idsets
 from repro.storage.expr import BinOp
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -45,21 +49,8 @@ SetDict = dict[str, np.ndarray]  # type name -> sorted unique ids
 def _union(a: SetDict, b: SetDict) -> SetDict:
     out = dict(a)
     for k, v in b.items():
-        out[k] = np.union1d(out[k], v) if k in out else v
+        out[k] = idsets.union(out[k], v) if k in out else v
     return out
-
-
-def _intersect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.intersect1d(a, b, assume_unique=False)
-
-
-def _in_sorted(values: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
-    """Boolean mask: values[i] in sorted_set (vectorized)."""
-    if len(sorted_set) == 0 or len(values) == 0:
-        return np.zeros(len(values), dtype=bool)
-    pos = np.searchsorted(sorted_set, values)
-    pos = np.minimum(pos, len(sorted_set) - 1)
-    return sorted_set[pos] == values
 
 
 def _is_empty(sets: SetDict) -> bool:
@@ -254,17 +245,17 @@ class FrontierExecutor:
             else:
                 cands = incoming.get(t, _EMPTY)
             if step.seed is not None and len(cands):
-                cands = _intersect_sorted(cands, self.db.subgraph(step.seed).vertex_ids(t))
+                cands = idsets.intersect(cands, self.db.subgraph(step.seed).vertex_ids(t))
             if step.label_ref is not None and len(cands):
                 label_sets = self.label_env.get(step.label_ref, {})
-                cands = _intersect_sorted(cands, label_sets.get(t, _EMPTY))
+                cands = idsets.intersect(cands, label_sets.get(t, _EMPTY))
             if step.label is not None and step.label.name in self.pin_labels and len(cands):
                 pin = self.pin_labels[step.label.name]
-                cands = _intersect_sorted(cands, pin.get(t, _EMPTY))
+                cands = idsets.intersect(cands, pin.get(t, _EMPTY))
             if step.cond is not None and len(cands):
                 cands = vt.select(step.cond, cands)
             if len(cands):
-                out[t] = np.unique(cands)
+                out[t] = idsets.unique(cands)
         return out
 
     def _expand(
@@ -298,8 +289,8 @@ class FrontierExecutor:
         src, tgt = et.src_vids[eids], et.tgt_vids[eids]
         # walking prev->next along the declaration, next side is the target
         nxt, prv = (tgt, src) if along else (src, tgt)
-        mask = _in_sorted(nxt, next_vids)
-        mask &= _in_sorted(prv, prev_vids)
+        mask = idsets.in_sorted(nxt, next_vids)
+        mask &= idsets.in_sorted(prv, prev_vids)
         return prv[mask], eids[mask]
 
     def _edge_expand(
@@ -331,19 +322,19 @@ class FrontierExecutor:
                 )
                 allowed = (
                     labelled if allowed is None
-                    else _intersect_sorted(allowed, labelled)
+                    else idsets.intersect(allowed, labelled)
                 )
             if allowed_edges is not None:
                 extra = allowed_edges.get(ename, _EMPTY)
-                allowed = extra if allowed is None else _intersect_sorted(allowed, extra)
+                allowed = extra if allowed is None else idsets.intersect(allowed, extra)
             tgts, eids = self._expand(ename, along, fr, allowed)
             if self.profile is not None:
                 self.profile.index_hits += 1
                 self.profile.edges_scanned += len(eids)
             if len(eids) == 0:
                 continue
-            frontier = _union(frontier, {to_type: np.unique(tgts)})
-            matched = _union(matched, {ename: np.unique(eids)})
+            frontier = _union(frontier, {to_type: idsets.unique(tgts)})
+            matched = _union(matched, {ename: idsets.unique(eids)})
         return frontier, matched
 
     # ------------------------------------------------------------------
@@ -374,7 +365,7 @@ class FrontierExecutor:
             edges = _union(edges, round_edges)
             new: SetDict = {}
             for t, vids in frontier.items():
-                fresh = np.setdiff1d(vids, acc.get(t, _EMPTY), assume_unique=False)
+                fresh = idsets.difference(vids, acc.get(t, _EMPTY))
                 if len(fresh):
                     new[t] = fresh
             if not new:
@@ -406,9 +397,9 @@ class FrontierExecutor:
         co_reach, _ = self._regex_closure(group_reversed, culled_next, forward_edges)
         culled_prev: SetDict = {}
         for t, vids in forward_prev.items():
-            keep = _intersect_sorted(vids, co_reach.get(t, _EMPTY))
+            keep = idsets.intersect(vids, co_reach.get(t, _EMPTY))
             if group_reversed.op == REGEX_STAR:
-                keep = np.union1d(keep, _intersect_sorted(vids, culled_next.get(t, _EMPTY)))
+                keep = idsets.union(keep, idsets.intersect(vids, culled_next.get(t, _EMPTY)))
             if len(keep):
                 culled_prev[t] = keep
         if _is_empty(culled_prev) and group_reversed.op != REGEX_STAR:
@@ -431,10 +422,10 @@ class FrontierExecutor:
             et = self.db.edge_type(ename)
             src = et.src_vids[eids]
             tgt = et.tgt_vids[eids]
-            s_f = _in_sorted(src, fwd_states.get(et.source.name, _EMPTY))
-            t_b = _in_sorted(tgt, bwd_states.get(et.target.name, _EMPTY))
-            s_b = _in_sorted(src, bwd_states.get(et.source.name, _EMPTY))
-            t_f = _in_sorted(tgt, fwd_states.get(et.target.name, _EMPTY))
+            s_f = idsets.in_sorted(src, fwd_states.get(et.source.name, _EMPTY))
+            t_b = idsets.in_sorted(tgt, bwd_states.get(et.target.name, _EMPTY))
+            s_b = idsets.in_sorted(src, bwd_states.get(et.source.name, _EMPTY))
+            t_f = idsets.in_sorted(tgt, fwd_states.get(et.target.name, _EMPTY))
             mask = np.zeros(len(eids), dtype=bool)
             for along in orientations.get(ename, ()):
                 mask |= (s_f & t_b) if along else (s_b & t_f)
@@ -541,7 +532,7 @@ class FrontierExecutor:
             )
             if len(kept_eids):
                 kept = _union(kept, {ename: kept_eids})
-                culled_prev = _union(culled_prev, {prev_type: np.unique(prev_vids)})
+                culled_prev = _union(culled_prev, {prev_type: idsets.unique(prev_vids)})
         return culled_prev, kept
 
     def _record_label(self, step: RVertexStep, sets: SetDict) -> None:

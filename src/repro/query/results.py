@@ -25,6 +25,7 @@ from repro.graql.ast import AttrItem, GraphSelect, StarItem, StepItem
 from repro.graql.typecheck import RVertexStep
 from repro.query.bindings import BindingResult
 from repro.query.frontier import AtomSets
+from repro.storage import idsets
 from repro.storage.column import Column
 from repro.storage.schema import ColumnDef, Schema
 from repro.storage.table import Table
@@ -143,8 +144,8 @@ def subgraph_from_bindings(
                 vertices.setdefault(t, []).append(vids)
     return Subgraph(
         result_name,
-        {t: np.unique(np.concatenate(v)) for t, v in vertices.items()},
-        {e: np.unique(np.concatenate(v)) for e, v in edges.items()},
+        {t: idsets.unique(np.concatenate(v)) for t, v in vertices.items()},
+        {e: idsets.unique(np.concatenate(v)) for e, v in edges.items()},
     )
 
 

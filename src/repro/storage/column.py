@@ -79,7 +79,7 @@ class Column:
         """Boolean array, True where the value is NULL."""
         kind = self.dtype.kind
         if self.data.dtype == np.dtype(object):
-            return np.array([v is None for v in self.data], dtype=bool)
+            return np.equal(self.data, None)
         if kind == KIND_NUMERIC and self.data.dtype == np.float64:
             return np.isnan(self.data)
         if kind == KIND_BOOL:
@@ -90,13 +90,17 @@ class Column:
     def sort_key(self) -> np.ndarray:
         """An array safe to pass to argsort/lexsort (NULLs sort first).
 
-        Object (string) columns map None to the empty string; numeric and
-        date sentinels already sort below all real values.
+        Object (string) columns map None to the empty string (a copy is
+        made only when there are NULLs); numeric and date sentinels
+        already sort below all real values.
         """
         if self.data.dtype == np.dtype(object):
-            return np.array(
-                ["" if v is None else str(v) for v in self.data], dtype=object
-            )
+            nulls = self.null_mask()
+            if not nulls.any():
+                return self.data
+            out = self.data.copy()
+            out[nulls] = ""
+            return out
         if self.data.dtype == np.float64:
             out = self.data.copy()
             out[np.isnan(out)] = -np.inf

@@ -657,7 +657,7 @@ class Env:
 
 def _null_mask_of(arr: np.ndarray, dtype: DataType) -> np.ndarray:
     if arr.dtype == np.dtype(object):
-        return np.array([v is None for v in arr], dtype=bool)
+        return np.equal(arr, None)
     if arr.dtype == np.float64:
         return np.isnan(arr)
     if dtype.kind == KIND_DATE:
@@ -667,20 +667,31 @@ def _null_mask_of(arr: np.ndarray, dtype: DataType) -> np.ndarray:
     return arr == INT_NULL
 
 
-def _broadcast_const(value: Any, dtype: DataType, n: int) -> np.ndarray:
-    if dtype.numpy_dtype == np.dtype(object):
-        arr = np.empty(n, dtype=object)
-        arr[:] = value
-        return arr
-    return np.full(n, value, dtype=dtype.numpy_dtype)
+#: the null mask of a value no column fed (a literal is never NULL)
+_NO_NULLS = np.False_
+
+_COMPARATORS: dict[str, Callable[[Any, Any], Any]] = {
+    "=": np.equal,
+    "<>": np.not_equal,
+    "!=": np.not_equal,
+    "<": np.less,
+    "<=": np.less_equal,
+    ">": np.greater,
+    ">=": np.greater_equal,
+}
 
 
 def _eval(expr: Expr, env: Env) -> tuple[np.ndarray, DataType, np.ndarray]:
-    """Evaluate to (values, dtype, null_mask)."""
-    n = env.nrows
+    """Evaluate to (values, dtype, null_mask).
+
+    A constant stays a 0-d array rather than ``env.nrows`` copies of the
+    literal; every operator broadcasts, so a result (or null mask) has
+    ``nrows`` elements exactly when a column fed it — :func:`_full`
+    widens the others at the top.
+    """
     if isinstance(expr, Const):
-        arr = _broadcast_const(expr.value, expr.dtype, n)
-        return arr, expr.dtype, np.zeros(n, dtype=bool)
+        value = np.asarray(expr.value, dtype=expr.dtype.numpy_dtype)
+        return value, expr.dtype, _NO_NULLS
     if isinstance(expr, Param):
         raise ExecutionError(f"unbound parameter %{expr.name}% at evaluation")
     if isinstance(expr, ColRef):
@@ -688,26 +699,29 @@ def _eval(expr: Expr, env: Env) -> tuple[np.ndarray, DataType, np.ndarray]:
         return arr, dtype, _null_mask_of(arr, dtype)
     if isinstance(expr, Not):
         v, t, nm = _eval(expr.operand, env)
-        return ~v.astype(bool), BOOLEAN, nm
+        return np.logical_not(v), BOOLEAN, nm
     if isinstance(expr, IsNull):
         _, _, nm = _eval(expr.operand, env)
-        out = ~nm if expr.negated else nm
-        return out, BOOLEAN, np.zeros(n, dtype=bool)
+        out = np.logical_not(nm) if expr.negated else nm
+        return out, BOOLEAN, _NO_NULLS
     assert isinstance(expr, BinOp)
     lv, lt, lnull = _eval(expr.left, env)
     rv, rt, rnull = _eval(expr.right, env)
     if expr.op in LOGICAL_OPS:
-        lb = lv.astype(bool)
-        rb = rv.astype(bool)
-        out = (lb & rb) if expr.op == "and" else (lb | rb)
-        return out, BOOLEAN, np.zeros(n, dtype=bool)
+        combine = np.logical_and if expr.op == "and" else np.logical_or
+        return combine(lv, rv), BOOLEAN, _NO_NULLS
     # date-literal coercion: string constant compared against date column
-    lv, lt, rv, rt = _coerce_date_values(expr, lv, lt, rv, rt)
-    nulls = lnull | rnull
+    lv, lt, rv, rt = _coerce_date_values(lv, lt, rv, rt)
+    nulls = np.logical_or(lnull, rnull)
     if expr.op in COMPARISON_OPS:
-        out = _compare(expr.op, lv, lt, rv, rt, nulls)
-        out[nulls] = False
-        return out, BOOLEAN, np.zeros(n, dtype=bool)
+        if lv.dtype == np.dtype(object) or rv.dtype == np.dtype(object):
+            # varchar: compare the str objects as they are; a NULL reads
+            # as "" so ordering never meets None, and its row is masked
+            lv, rv = _fill_null_str(lv, lnull), _fill_null_str(rv, rnull)
+        out = np.asarray(_COMPARATORS[expr.op](lv, rv), dtype=bool)
+        if nulls.any():
+            out[nulls] = False
+        return out, BOOLEAN, _NO_NULLS
     # arithmetic
     out_t = FLOAT if (expr.op == "/" or lt == FLOAT or rt == FLOAT) else INTEGER
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -722,51 +736,55 @@ def _eval(expr: Expr, env: Env) -> tuple[np.ndarray, DataType, np.ndarray]:
         else:
             out = a.astype(np.float64) / b.astype(np.float64)
     if out_t == FLOAT:
-        out = out.astype(np.float64)
-        out[nulls] = np.nan
-        return out, FLOAT, np.zeros(n, dtype=bool)
-    out = out.astype(np.int64)
-    out[nulls] = INT_NULL
+        out = np.asarray(out, dtype=np.float64)
+        if nulls.any():
+            out[nulls] = np.nan
+        return out, FLOAT, _NO_NULLS
+    out = np.asarray(out, dtype=np.int64)
+    if nulls.any():
+        out[nulls] = INT_NULL
     return out, INTEGER, nulls
 
 
-def _coerce_date_values(expr, lv, lt, rv, rt):
+def _fill_null_str(v: np.ndarray, nulls: np.ndarray) -> np.ndarray:
+    """*v* with its NULLs (None) replaced by "" — a copy only if any."""
+    if not nulls.any():
+        return v
+    v = v.copy()
+    v[nulls] = ""
+    return v
+
+
+def _coerce_date_values(lv, lt, rv, rt):
+    """A string operand compared with a date becomes date ordinals.
+
+    A literal (0-d) is parsed once; a varchar column row by row.
+    """
     if lt.kind == KIND_DATE and rt.kind == KIND_STRING:
-        rv = np.array(
-            [DATE_NULL if v is None else parse_date(v) for v in rv], dtype=np.int64
-        )
-        rt = DATE
-    elif rt.kind == KIND_DATE and lt.kind == KIND_STRING:
-        lv = np.array(
-            [DATE_NULL if v is None else parse_date(v) for v in lv], dtype=np.int64
-        )
-        lt = DATE
+        return lv, lt, _parse_dates(rv), DATE
+    if rt.kind == KIND_DATE and lt.kind == KIND_STRING:
+        return _parse_dates(lv), DATE, rv, rt
     return lv, lt, rv, rt
 
 
-def _compare(op, lv, lt, rv, rt, nulls) -> np.ndarray:
-    if lv.dtype == np.dtype(object) or rv.dtype == np.dtype(object):
-        # string comparison: mask nulls with "" so object compare is safe
-        ls = np.array(["" if v is None else str(v) for v in lv], dtype=object)
-        rs = np.array(["" if v is None else str(v) for v in rv], dtype=object)
-        lv, rv = ls, rs
-    if op == "=":
-        return np.asarray(lv == rv, dtype=bool)
-    if op in ("<>", "!="):
-        return np.asarray(lv != rv, dtype=bool)
-    if op == "<":
-        return np.asarray(lv < rv, dtype=bool)
-    if op == "<=":
-        return np.asarray(lv <= rv, dtype=bool)
-    if op == ">":
-        return np.asarray(lv > rv, dtype=bool)
-    return np.asarray(lv >= rv, dtype=bool)
+def _parse_dates(v: np.ndarray) -> np.ndarray:
+    if v.ndim == 0:  # a literal, never NULL
+        return np.asarray(parse_date(v.item()), dtype=np.int64)
+    return np.array(
+        [DATE_NULL if t is None else parse_date(t) for t in v], dtype=np.int64
+    )
+
+
+def _full(v: np.ndarray, n: int) -> np.ndarray:
+    """*v* as an *n*-element array (a 0-d result came from literals only)."""
+    v = np.asarray(v)
+    return v if v.ndim else np.full(n, v, dtype=v.dtype)
 
 
 def evaluate(expr: Expr, env: Env) -> np.ndarray:
     """Evaluate *expr* to a value array of length ``env.nrows``."""
     v, _, _ = _eval(expr, env)
-    return v
+    return _full(v, env.nrows)
 
 
 def evaluate_predicate(expr: Expr | None, env: Env) -> np.ndarray:
@@ -778,11 +796,13 @@ def evaluate_predicate(expr: Expr | None, env: Env) -> np.ndarray:
         raise ExecutionError(
             f"condition does not evaluate to a boolean (got {t.ddl()})"
         )
-    return v.astype(bool)
+    return _full(v, env.nrows).astype(bool)
 
 
 def evaluate_scalar(expr: Expr) -> Any:
     """Evaluate a constant expression (no column refs) to a Python value."""
-    env = Env.from_columns({}, 1)
-    v, _, nm = _eval(expr, env)
-    return None if nm[0] else (v[0].item() if isinstance(v[0], np.generic) else v[0])
+    v, _, nm = _eval(expr, Env.from_columns({}, 1))
+    if np.asarray(nm).any():
+        return None
+    v = _full(v, 1)[0]
+    return v.item() if isinstance(v, np.generic) else v

@@ -26,6 +26,7 @@ import numpy as np
 from repro.dtypes import FLOAT, INTEGER, DataType
 from repro.dtypes.datatypes import KIND_NUMERIC
 from repro.errors import ExecutionError
+from repro.storage import idsets
 from repro.storage.column import Column
 from repro.storage.expr import Env, Expr, evaluate_predicate
 from repro.storage.schema import ColumnDef, Schema
@@ -347,12 +348,8 @@ def semi_join_mask(
     lcols = [left.column(k) for k in left_keys]
     rcols = [right.column(k) for k in right_keys]
     lcodes, rcodes, lvalid, rvalid = _shared_codes(lcols, rcols)
-    present = np.unique(rcodes[rvalid])
     mask = np.zeros(left.num_rows, dtype=bool)
-    pos = np.searchsorted(present, lcodes[lvalid])
-    pos = np.clip(pos, 0, len(present) - 1) if len(present) else pos
-    if len(present):
-        mask[np.flatnonzero(lvalid)] = present[pos] == lcodes[lvalid]
+    mask[lvalid] = idsets.in_sorted(lcodes[lvalid], idsets.unique(rcodes[rvalid]))
     return mask
 
 
