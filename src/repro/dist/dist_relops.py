@@ -74,7 +74,7 @@ def dist_group_by_aggregate(
     non_empty = [(w, pt) for w, pt in enumerate(partial_tables) if pt.num_rows]
     if non_empty:
         combined = relops.union_all([pt for _, pt in non_empty])
-        codes, _ = relops.factorize(combined, list(group_cols))
+        codes = relops.factorize(combined, list(group_cols))
         dest_all = codes % n if group_cols else np.zeros(len(codes), dtype=np.int64)
         offset = 0
         for w, pt in non_empty:

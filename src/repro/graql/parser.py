@@ -333,9 +333,12 @@ class Parser:
             if prev_end is not None and start != prev_end:
                 break  # whitespace gap: path ended
             # a statement keyword that is NOT glued to the path starts a new
-            # statement, but a glued one (e.g. "table.csv") is path text
+            # statement, but a glued one (e.g. "data/table.csv", or a path
+            # that begins with one, "or.csv") is path text
             if tok.kind == T.KEYWORD and prev_end is None:
-                break
+                nxt = self.peek(1)
+                if (nxt.line, nxt.column) != (tok.line, tok.column + len(spelling)):
+                    break
             parts.append(spelling)
             prev_end = (tok.line, tok.column + len(spelling))
             self.advance()

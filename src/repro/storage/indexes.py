@@ -25,6 +25,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
+from repro.storage.relops import factorize, group_rows
 from repro.storage.table import Table
 
 
@@ -32,25 +33,27 @@ def _grouped_rows(codes: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Split row ids by group code, vectorized.
 
     Returns ``(representative_rows, groups)`` where ``groups[g]`` holds
-    the ascending row ids carrying the g-th distinct code (codes made
-    dense by ``np.unique`` order) and ``representative_rows[g]`` is the
-    first of them.
+    the ascending row ids carrying the g-th smallest code (codes from
+    :func:`~repro.storage.relops.factorize`, so groups follow key order,
+    NULL first) and ``representative_rows[g]`` is the first of them.
     """
     order = np.argsort(codes, kind="stable").astype(np.int64)
     sorted_codes = codes[order]
     boundaries = np.flatnonzero(sorted_codes[1:] != sorted_codes[:-1]) + 1
     groups = np.split(order, boundaries)
-    reps = np.asarray([g[0] for g in groups], dtype=np.int64)
+    reps = order[np.r_[0, boundaries]]
     return reps, groups
 
 
 class HashIndex:
     """Exact-match index: key tuple -> int64 array of row ids.
 
-    The build is fully vectorized: key columns are factorized into dense
-    group codes (one ``np.unique`` pass per column) and rows are grouped
-    with a single stable argsort + split, instead of a per-row Python
-    loop over ``table.num_rows`` tuples.
+    The build is fully vectorized: key columns are factorized into group
+    codes by :func:`~repro.storage.relops.factorize` (one
+    :func:`~repro.storage.relops.column_codes` pass per column, NULL a
+    key value of its own) and rows are grouped with a single stable
+    argsort + split, instead of a per-row Python loop over
+    ``table.num_rows`` tuples.
     """
 
     def __init__(self, table: Table, key_names: Sequence[str]) -> None:
@@ -59,18 +62,7 @@ class HashIndex:
         if table.num_rows == 0:
             self._frozen: dict[tuple, np.ndarray] = {}
             return
-        codes = np.zeros(table.num_rows, dtype=np.int64)
-        for c in cols:
-            _, inv = np.unique(c.sort_key(), return_inverse=True)
-            ck = inv.astype(np.int64)
-            nm = c.null_mask()
-            if nm.any():
-                # sort_key folds NULL into a real value ("" for strings);
-                # a null bit keeps the key tuples distinct
-                ck = ck * 2 + nm
-            k = int(ck.max()) + 1
-            codes = codes * k + ck
-        reps, groups = _grouped_rows(codes)
+        reps, groups = _grouped_rows(factorize(table, self.key_names))
         # only the one representative row per distinct key is touched
         # scalar-wise; everything row-aligned stayed in NumPy
         self._frozen = {
@@ -310,8 +302,6 @@ def unique_key_codes(table: Table, key_names: Sequence[str]) -> tuple[np.ndarray
     ``codes[i] == j`` means row *i* carries distinct key ``keys[j]``.
     Used by many-to-one vertex views where several rows share one key.
     """
-    from repro.storage.relops import group_rows
-
     _, first, inv = group_rows(table, key_names)
     cols = [table.column(k) for k in key_names]
     keys = [tuple(c.value(int(i)) for c in cols) for i in first]

@@ -6,12 +6,18 @@ and ``as`` aliasing.  Edge-view construction (Eq. 2) additionally needs
 equi-joins.  All operators here work on whole columns with NumPy kernels:
 
 * predicates -> boolean masks (``repro.storage.expr``),
-* grouping and distinct -> key *factorization* (shared integer codes via
-  ``np.unique``), then ``bincount`` / ``minimum.at`` reductions,
+* grouping and distinct -> key *factorization* (:func:`column_codes`, the
+  one kernel every key factorization in ``repro.storage`` goes through:
+  dense int64 codes in value order, NULL its own lowest group), then
+  ``bincount`` / ``minimum.at`` reductions,
 * joins -> factorize both sides to shared codes, sort one side, and expand
   match ranges with ``searchsorted`` + ``repeat`` (no Python row loops),
 * ordering -> stable ``lexsort`` over per-key rank codes so ascending /
   descending mixes are exact.
+
+A varchar column is factorized by hashing: one C-level dict pass maps
+every row to the first row holding its value, and only the distinct
+values are sorted — never the Python strings of every row.
 
 Row-index arrays (int64) are the currency between operators; data columns
 are gathered once at the end.
@@ -51,41 +57,99 @@ def filter_table(table: Table, condition: Expr | None) -> Table:
 # Key factorization (shared machinery for distinct / group by / join)
 # ----------------------------------------------------------------------
 
-def _column_codes(col: Column) -> np.ndarray:
-    """Dense int64 codes for one column, ordered consistently with values."""
-    _, inv = np.unique(col.sort_key(), return_inverse=True)
-    return inv.astype(np.int64)
+def _sorted_codes(values: np.ndarray) -> np.ndarray:
+    """Dense codes of a NULL-free sortable array: ``codes[i]`` is the rank
+    of row *i*'s value among the distinct values (``np.unique``'s
+    ``return_inverse``), from one argsort and one run-boundary pass."""
+    order = np.argsort(values)
+    ranked = values[order]
+    head = np.empty(len(values), dtype=bool)
+    head[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
+    codes = np.empty(len(values), dtype=np.int64)
+    codes[order] = np.cumsum(head) - 1
+    return codes
 
 
-def factorize(table: Table, key_names: Sequence[str]) -> tuple[np.ndarray, int]:
-    """Combine one or more key columns into dense group codes.
+def _object_codes(data: np.ndarray) -> np.ndarray:
+    """Value-ordered codes of an object (varchar) array, NULL (None) first.
 
-    Returns ``(codes, ncodes_bound)`` where equal rows (on the keys) share a
-    code.  Codes are *not* dense across the combination — callers run a
-    final ``np.unique`` (see :func:`group_rows`).
+    Rows are hashed, not sorted: ``seen.setdefault`` maps each row to the
+    first row holding its value in one C-level pass, and only the distinct
+    values are argsorted.
+    """
+    n = len(data)
+    seen: dict = {}
+    first = np.fromiter(map(seen.setdefault, data, range(n)), np.int64, n)
+    null_row = seen.pop(None, None)
+    distinct = np.fromiter(seen, object, len(seen))
+    rank = np.empty(len(seen), dtype=np.int64)
+    rank[np.argsort(distinct)] = np.arange(len(seen)) + (null_row is not None)
+    by_row = np.empty(n, dtype=np.int64)
+    by_row[np.fromiter(seen.values(), np.int64, len(seen))] = rank
+    if null_row is not None:
+        by_row[null_row] = 0
+    return by_row[first]
+
+
+def _null_first_codes(data: np.ndarray, nulls: np.ndarray) -> np.ndarray:
+    """:func:`_sorted_codes` of the non-NULL rows, shifted past code 0
+    when there are NULLs, which take it."""
+    if not nulls.any():
+        return _sorted_codes(data)
+    codes = np.zeros(len(data), dtype=np.int64)
+    codes[~nulls] = _sorted_codes(data[~nulls]) + 1
+    return codes
+
+
+def column_codes(col: Column) -> np.ndarray:
+    """Dense int64 codes for one column, following the order of its values.
+
+    NULL is a group of its own with the lowest code (0): never merged with
+    ``''``, ``-inf`` or any other real value.  Varchar columns are hashed
+    (see :func:`_object_codes`); numeric, date and boolean columns take
+    the sort path with their NULLs set aside.
+    """
+    if col.data.dtype == np.dtype(object):
+        return _object_codes(col.data)
+    return _null_first_codes(col.data, col.null_mask())
+
+
+def factorize(table: Table, key_names: Sequence[str]) -> np.ndarray:
+    """Combine one or more key columns into group codes.
+
+    Equal rows (on the keys) share a code, and codes follow the key order
+    (first key major).  Codes are *not* dense across the combination —
+    callers densify them (see :func:`group_rows`).
     """
     if not key_names:
-        return np.zeros(table.num_rows, dtype=np.int64), 1
-    codes = _column_codes(table.column(key_names[0]))
-    bound = int(codes.max(initial=-1)) + 1
+        return np.zeros(table.num_rows, dtype=np.int64)
+    codes = column_codes(table.column(key_names[0]))
     for name in key_names[1:]:
-        c = _column_codes(table.column(name))
-        k = int(c.max(initial=-1)) + 1
-        codes = codes * k + c
-        bound *= max(k, 1)
-    return codes, bound
+        c = column_codes(table.column(name))
+        codes = codes * (int(c.max(initial=-1)) + 1) + c
+    return codes
 
 
 def group_rows(table: Table, key_names: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group rows on the keys.
 
     Returns ``(group_ids, first_row_index, inverse)`` where ``inverse[i]``
-    is the group of row *i*, ``first_row_index[g]`` is a representative row
-    of group *g*, and ``group_ids`` is ``arange(ngroups)``.
+    is the group of row *i*, ``first_row_index[g]`` is the first row of
+    group *g*, and ``group_ids`` is ``arange(ngroups)``.  Groups follow the
+    order of the key values, NULL first.
+
+    One key's codes are dense already; several keys' combined codes are
+    made dense by one more :func:`_sorted_codes` pass.  No rows are sorted
+    to find ``first``: ``minimum.at`` keeps each group's smallest row.
     """
-    codes, _ = factorize(table, key_names)
-    uniq, first, inv = np.unique(codes, return_index=True, return_inverse=True)
-    return np.arange(len(uniq)), first, inv
+    codes = factorize(table, key_names)
+    if len(key_names) > 1:
+        codes = _sorted_codes(codes)
+    ngroups = int(codes.max(initial=-1)) + 1
+    first = np.full(ngroups, len(codes), dtype=np.int64)
+    np.minimum.at(first, codes, np.arange(len(codes)))
+    return np.arange(ngroups), first, codes
 
 
 # ----------------------------------------------------------------------
@@ -109,13 +173,14 @@ def order_by(table: Table, keys: Sequence[tuple[str, bool]]) -> Table:
     """``order by`` — *keys* is [(column, ascending)], major key first.
 
     Stable: ties preserve input order.  Descending works for every kind by
-    sorting on negated rank codes.
+    sorting on negated rank codes.  NULL ranks below every value: first
+    ascending, last descending.
     """
     if table.num_rows == 0 or not keys:
         return table
     rank_arrays = []
     for name, ascending in keys:
-        codes = _column_codes(table.column(name))
+        codes = column_codes(table.column(name))
         rank_arrays.append(codes if ascending else -codes)
     # lexsort's last key is primary
     order = np.lexsort(tuple(reversed(rank_arrays)))
@@ -189,8 +254,7 @@ def _agg_values(spec: AggSpec, table: Table, inv: np.ndarray, ngroups: int) -> n
         # string min/max: sort by (group, value); min = first row of each
         # group run, max = last
         out = np.empty(ngroups, dtype=object)
-        key = col.sort_key()[valid]
-        order = np.lexsort((key, vinv))
+        order = np.lexsort((column_codes(col)[valid], vinv))
         gs = vinv[order]
         ks = col.data[valid][order]
         if len(gs):
@@ -267,13 +331,17 @@ def _shared_codes(lcols: Sequence[Column], rcols: Sequence[Column]) -> tuple[np.
     lvalid = np.ones(nl, dtype=bool)
     rvalid = np.ones(nr, dtype=bool)
     for lc, rc in zip(lcols, rcols):
-        both = np.concatenate([lc.sort_key(), rc.sort_key()])
-        _, inv = np.unique(both, return_inverse=True)
+        lnull, rnull = lc.null_mask(), rc.null_mask()
+        both = np.concatenate([lc.data, rc.data])
+        if both.dtype == np.dtype(object):
+            inv = _object_codes(both)
+        else:
+            inv = _null_first_codes(both, np.concatenate([lnull, rnull]))
         k = int(inv.max(initial=-1)) + 1
         lcodes = lcodes * k + inv[:nl]
         rcodes = rcodes * k + inv[nl:]
-        lvalid &= ~lc.null_mask()
-        rvalid &= ~rc.null_mask()
+        lvalid &= ~lnull
+        rvalid &= ~rnull
     return lcodes, rcodes, lvalid, rvalid
 
 

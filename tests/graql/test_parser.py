@@ -132,6 +132,10 @@ class TestIngest:
         assert len(script) == 2
         assert script.statements[0].path == "products.csv"
 
+    def test_path_starting_with_keyword(self):
+        script = parse_script("ingest table A or.csv\ningest table B table/x.csv")
+        assert [s.path for s in script.statements] == ["or.csv", "table/x.csv"]
+
 
 class TestTableSelect:
     def test_full_form(self):

@@ -151,6 +151,97 @@ class TestGroupBy:
             AggSpec("median", "n", "m")
 
 
+class TestNullIsItsOwnGroup:
+    """NULL never merges with a real value: not with ``''`` in a varchar
+    key, not with ``-inf`` in a float key."""
+
+    K = Table.from_rows(
+        "K",
+        Schema.of(("k", VarChar(4)), ("v", INTEGER)),
+        [("", 1), (None, 2), ("a", 3), (None, 4)],
+    )
+    F = Table.from_rows(
+        "F",
+        Schema.of(("x", FLOAT), ("v", INTEGER)),
+        [(float("-inf"), 1), (float("nan"), 2), (1.0, 3), (float("nan"), 4)],
+    )
+
+    @pytest.fixture
+    def db(self):
+        from repro import Database
+
+        db = Database()
+        db.execute("create table T(k varchar(4), v integer)")
+        db.ingest_rows("T", [("", 1), (None, 2), ("a", 3), (None, 4)])
+        return db
+
+    def test_group_by_statement(self, db):
+        (res,) = db.execute("select k, count(*) as n from table T group by k")
+        assert [tuple(r) for r in res.table.to_rows()] == [(None, 2), ("", 1), ("a", 1)]
+
+    def test_distinct_statement(self, db):
+        (res,) = db.execute("select distinct k from table T")
+        assert [r[0] for r in res.table.to_rows()] == ["", None, "a"]
+
+    def test_order_by_statement(self, db):
+        (res,) = db.execute("select k, v from table T order by k asc")
+        assert [r[1] for r in res.table.to_rows()] == [2, 4, 1, 3]
+        (res,) = db.execute("select k, v from table T order by k desc")
+        assert [r[1] for r in res.table.to_rows()] == [3, 1, 2, 4]
+
+    def test_varchar_group_by(self):
+        out = relops.group_by_aggregate(self.K, ["k"], [AggSpec("sum", "v", "s")])
+        assert out.to_rows() == [(None, 6), ("", 1), ("a", 3)]
+
+    def test_float_group_by(self):
+        out = relops.group_by_aggregate(self.F, ["x"], [AggSpec("sum", "v", "s")])
+        xs = out.column("x").data
+        assert np.isnan(xs[0]) and xs[1:].tolist() == [float("-inf"), 1.0]
+        assert out.column("s").data.tolist() == [6, 1, 3]
+
+    def test_multi_key_group_by(self):
+        t = Table.from_rows(
+            "M",
+            Schema.of(("k", VarChar(4)), ("x", FLOAT)),
+            [("", float("-inf")), (None, float("nan")), ("", float("nan")), (None, float("-inf"))],
+        )
+        assert relops.distinct(t).num_rows == 4
+        out = relops.group_by_aggregate(t, ["k", "x"], [AggSpec("count", None, "c")])
+        assert out.column("k").data.tolist() == [None, None, "", ""]
+        assert out.column("c").data.tolist() == [1, 1, 1, 1]
+
+    def test_distinct(self):
+        assert relops.distinct(self.K, ["k"]).column("k").data.tolist() == ["", None, "a"]
+        assert relops.distinct(self.F, ["x"]).num_rows == 3
+
+    def test_order_by_null_first_ascending(self):
+        asc = relops.order_by(self.K, [("k", True)])
+        assert asc.column("v").data.tolist() == [2, 4, 1, 3]
+        desc = relops.order_by(self.F, [("x", False)])
+        assert desc.column("v").data.tolist() == [3, 1, 2, 4]
+
+    def test_column_codes(self):
+        assert relops.column_codes(self.K.column("k")).tolist() == [1, 0, 2, 0]
+        assert relops.column_codes(self.F.column("x")).tolist() == [1, 0, 2, 0]
+
+    def test_string_min_max_skip_null(self):
+        out = relops.group_by_aggregate(
+            self.K, [], [AggSpec("min", "k", "lo"), AggSpec("max", "k", "hi")]
+        )
+        assert out.row(0) == ("", "a")
+
+    def test_hash_index(self):
+        from repro.storage.indexes import HashIndex
+
+        idx = HashIndex(self.K, ["k"])
+        assert len(idx) == 3
+        assert idx.lookup(("",)).tolist() == [0]
+        assert idx.lookup((None,)).tolist() == [1, 3]
+        fidx = HashIndex(self.F, ["x"])
+        assert len(fidx) == 3
+        assert fidx.lookup((float("-inf"),)).tolist() == [0]
+
+
 class TestJoins:
     L = Table.from_rows(
         "L",
