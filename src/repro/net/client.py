@@ -8,12 +8,16 @@ that statements execute inside the :class:`~repro.net.GraqlServer` at
 the other end of the socket.
 
 Result tables are **streamed**: ``execute`` drains the stream and hands
-back fully-materialized results, while a :class:`Cursor` consumes BATCH
-frames off the socket as the consumer advances — ``fetchmany(n)`` on a
-million-row result pulls only the frames it needs.  One request runs at
-a time per connection (the protocol is strictly request/response); a
-new request on a connection with an unfinished cursor first buffers the
-remaining frames so the cursor still completes from memory.
+back fully-materialized results, while a :class:`Cursor` consumes
+COLUMNS frames off the socket as the consumer advances — ``fetchmany(n)``
+on a million-row result pulls only the frames it needs.  Each frame
+decodes to column arrays (:mod:`repro.storage.colcodec`); ``Row``
+objects are built only for the batches a cursor hands out, and the
+finished table is the per-column concatenation of the frames.  One
+request runs at a time per connection (the protocol is strictly
+request/response); a new request on a connection with an unfinished
+cursor first buffers the remaining frames so the cursor still completes
+from memory.
 
 Server-side errors arrive as one ERROR frame and re-raise here as the
 originating :mod:`repro.errors` class with its attributes intact
@@ -55,14 +59,15 @@ from __future__ import annotations
 import random
 import socket
 import time
-from collections import deque
 from typing import Any, Callable, Iterator, Mapping, Optional, Tuple
 from urllib.parse import urlsplit
 
+import numpy as np
+
 from repro.errors import ClosedError, GraQLError, NotPrimary, ProtocolError
 from repro.net.frame import (
-    FT_BATCH,
     FT_BYE,
+    FT_COLUMNS,
     FT_DONE,
     FT_ERROR,
     FT_EXEC_PREPARED,
@@ -81,7 +86,7 @@ from repro.net.protocol import (
     decode_error,
     decode_result,
     encode_options,
-    table_from_meta,
+    schema_from_meta,
 )
 from repro.obs.options import QueryOptions
 from repro.query.executor import StatementResult
@@ -91,7 +96,9 @@ from repro.serve.connection import (
     CursorExec,
     DEFAULT_BATCH_ROWS,
 )
-from repro.storage.table import Row
+from repro.storage.colcodec import decode_columns
+from repro.storage.column import Column
+from repro.storage.table import Row, Table
 
 #: bounded-retry defaults for idempotent requests (docs/REPLICATION.md)
 DEFAULT_RETRY_ATTEMPTS = 5
@@ -451,7 +458,7 @@ class RemoteConnection(Connection):
     def _settle(self) -> None:
         """Buffer any unfinished stream so the socket is request-clean."""
         if self._active is not None:
-            self._active.buffer_remaining()
+            self._active.drain()
 
     def _poison(self) -> None:
         """Unrecoverable: a write died mid-flight or retries ran out."""
@@ -584,10 +591,12 @@ class RemotePreparedStatement(BasePreparedStatement):
 
 
 class _ResultStream:
-    """One request's response: the RESULT header plus its row stream.
+    """One request's response: the RESULT header plus its column stream.
 
-    Rows accumulate as they arrive so that, once DONE is seen, the
-    streamed table materializes and is patched into its
+    Every COLUMNS frame is kept as one chunk of column arrays.  A cursor
+    reads the chunks in order and gets each as a batch of ``Row``
+    objects; :meth:`drain` builds none.  At DONE the streamed table is the
+    per-column concatenation of the chunks, patched into its
     :class:`StatementResult` — after full consumption a remote result
     list is indistinguishable from a local one.
     """
@@ -597,15 +606,15 @@ class _ResultStream:
         self.results = [decode_result(p) for p in header["results"]]
         self.stream = header.get("stream")
         self.done = False
-        self._buffered: deque[list[Row]] = deque()
-        self._rows: list[tuple] = []
+        self._chunks: list[list[np.ndarray]] = []
+        #: index of the next chunk a cursor has not yet been handed
+        self._read = 0
         self._exec: Optional[CursorExec] = None
         if self.stream is not None:
             idx = int(self.stream["index"])
             self.meta = header["results"][idx]["table"]
-            self._row_cls = Row.make_class(
-                [str(name) for name, _ in self.meta["columns"]]
-            )
+            self.schema = schema_from_meta(self.meta)
+            self._row_cls = Row.make_class(self.schema.names())
         else:
             self.meta = None
             # no table to stream: consume the DONE right away so the
@@ -613,57 +622,69 @@ class _ResultStream:
             self._pull()
 
     # ------------------------------------------------------------------
-    def _pull(self) -> Optional[list[Row]]:
-        """Read one stream frame; a batch of rows, or None at DONE."""
+    def _pull(self) -> None:
+        """Read one stream frame: a chunk of columns, DONE or ERROR."""
         ftype, payload = self.conn._recv()
-        if ftype == FT_BATCH:
-            raw = [tuple(r) for r in payload["rows"]]
-            self._rows.extend(raw)
-            return [self._row_cls(r) for r in raw]
+        if ftype == FT_COLUMNS and self.stream is not None:
+            try:
+                self._chunks.append(decode_columns(self.schema, payload))
+            except ProtocolError:
+                self.conn._drop_transport()
+                raise
+            return
         if ftype == FT_DONE:
-            self._finish()
-            return None
+            self._finish(payload)
+            return
         if ftype == FT_ERROR:
             self.done = True
             self.conn._active = None
             raise decode_error(payload)
         self.conn._drop_transport()
         raise ProtocolError(
-            f"expected BATCH/DONE/ERROR in a result stream, got type {ftype}"
+            f"expected COLUMNS/DONE/ERROR in a result stream, got type {ftype}"
         )
 
-    def _finish(self) -> None:
+    def _finish(self, payload: dict) -> None:
         self.done = True
         if self.conn._active is self:
             self.conn._active = None
-        if self.stream is not None:
-            idx = int(self.stream["index"])
-            table = table_from_meta(self.meta, self._rows)
-            self.results[idx].table = table
-            if self._exec is not None:
-                self._exec.table = table
+        if self.stream is None:
+            return
+        columns = [
+            Column(c.dtype, np.concatenate([ch[i] for ch in self._chunks]))
+            if self._chunks else Column.empty(c.dtype)
+            for i, c in enumerate(self.schema)
+        ]
+        table = Table(str(self.meta["name"]), self.schema, columns)
+        if table.num_rows != payload.get("rows"):
+            self.conn._drop_transport()
+            raise ProtocolError(
+                f"result stream delivered {table.num_rows} rows, "
+                f"DONE announced {payload.get('rows')!r}"
+            )
+        self.results[int(self.stream["index"])].table = table
+        if self._exec is not None:
+            self._exec.table = table
 
     def next_batch(self) -> Optional[list[Row]]:
-        if self._buffered:
-            return self._buffered.popleft()
-        if self.done:
-            return None
-        return self._pull()
+        """The next unread chunk as ``Row`` objects (pulled off the
+        socket when none is buffered); None once the stream is exhausted."""
+        if self._read == len(self._chunks):
+            if self.done:
+                return None
+            self._pull()
+            if self._read == len(self._chunks):
+                return None  # that frame was DONE
+        chunk = self._chunks[self._read]
+        self._read += 1
+        return list(map(self._row_cls, zip(*[c.tolist() for c in chunk])))
 
     def drain(self) -> None:
-        """Consume the stream to completion (materializes the table)."""
-        self._buffered.clear()
+        """Consume the stream to completion (materializes the table).
+        Also how another request frees the socket: an attached cursor
+        keeps reading the buffered chunks."""
         while not self.done:
             self._pull()
-
-    def buffer_remaining(self) -> None:
-        """Pull the rest of the stream into memory (another request
-        needs the socket); an attached cursor keeps reading from the
-        buffer."""
-        while not self.done:
-            batch = self._pull()
-            if batch:
-                self._buffered.append(batch)
 
     # ------------------------------------------------------------------
     def _batches(self) -> Iterator[list[Row]]:
@@ -685,7 +706,7 @@ class _ResultStream:
             int(self.stream["num_rows"]),
             description,
             self._batches(),
-            finish=self.buffer_remaining,
+            finish=self.drain,
         )
         self._exec = ex
         return ex

@@ -7,8 +7,10 @@ Stream layout (after the client's 8-byte magic preamble)::
     [u8 type][u32 length][u32 crc32][payload]     frame 1
     ...
 
-Each payload is one canonical-JSON message; ``length`` counts payload
-bytes and ``crc32`` covers the type byte *and* the payload, so a bit
+Each payload is one canonical-JSON message, except for the binary frame
+types (:data:`BINARY_FRAME_TYPES`: the ``COLUMNS`` result stream, whose
+payload is a :mod:`repro.storage.colcodec` body); ``length`` counts
+payload bytes and ``crc32`` covers the type byte *and* the payload, so a bit
 flip anywhere in type, length, checksum or body is detected: a wrong
 length misaligns the checksum window, a wrong checksum fails outright,
 and a corrupt body fails the check.  The discipline deliberately
@@ -28,14 +30,14 @@ import json
 import socket
 import struct
 import zlib
-from typing import Any, Optional, Tuple
+from typing import Any, Tuple
 
 from repro.errors import ProtocolError
 
 #: stream preamble the client sends immediately after connecting
 MAGIC = b"GRQLNET1"
 #: protocol revision negotiated in HELLO; bumped on incompatible change
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 _HEADER = struct.Struct("<BII")
 HEADER_LEN = _HEADER.size
@@ -53,7 +55,7 @@ FT_PREPARE = 4        # client -> server: {source}
 FT_PREPARED = 5       # server -> client: {pid, params, ir_bytes, statements}
 FT_EXEC_PREPARED = 6  # client -> server: {pid, params?, options?, batch_rows?}
 FT_RESULT = 7         # server -> client: results header (stream follows if stream != null)
-FT_BATCH = 8          # server -> client: {rows: [[...], ...]}
+FT_BATCH = 8          # retired in v2 (JSON rows); still a defined type, never sent
 FT_DONE = 9           # server -> client: {rows: n} — stream complete
 FT_ERROR = 10         # server -> client: {code, message, attrs, span}
 FT_BYE = 11           # client -> server: {} — orderly goodbye
@@ -67,32 +69,49 @@ FT_REPL_RECORD = 16     # primary -> replica: {record} — one WAL record
 FT_REPL_ACK = 17        # replica -> primary: {seq} — durable through seq
 FT_PROMOTE = 18         # admin -> replica: {} — promote to primary
 FT_PROMOTED = 19        # replica -> admin: {repl_epoch, seq}
+# -- binary result stream (protocol v2) ---------------------------------
+FT_COLUMNS = 20       # server -> client: one colcodec body of the streamed table
 
 FRAME_TYPES = frozenset(
     (FT_HELLO, FT_HELLO_OK, FT_EXECUTE, FT_PREPARE, FT_PREPARED,
      FT_EXEC_PREPARED, FT_RESULT, FT_BATCH, FT_DONE, FT_ERROR, FT_BYE,
      FT_PING, FT_PONG, FT_REPL_SUBSCRIBE, FT_REPL_SNAPSHOT,
-     FT_REPL_RECORD, FT_REPL_ACK, FT_PROMOTE, FT_PROMOTED)
+     FT_REPL_RECORD, FT_REPL_ACK, FT_PROMOTE, FT_PROMOTED, FT_COLUMNS)
 )
+#: frame types whose payload is raw ``bytes`` rather than a JSON object
+BINARY_FRAME_TYPES = frozenset((FT_COLUMNS,))
+
+#: crc32 of each possible type byte: the seed the payload checksum
+#: continues from, so type + payload are checksummed without a copy
+_TYPE_CRC = tuple(zlib.crc32(bytes((t,))) for t in range(256))
 
 
-def encode_frame(ftype: int, payload: dict[str, Any]) -> bytes:
-    """Render one frame as header + canonical-JSON payload bytes."""
+def encode_frame(ftype: int, payload: Any) -> bytes:
+    """Render one frame as header + payload bytes: canonical JSON for a
+    dict payload, the bytes themselves for a binary frame type."""
     if ftype not in FRAME_TYPES:
         raise ProtocolError(f"unknown frame type {ftype}")
-    body = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("utf-8")
+    binary = ftype in BINARY_FRAME_TYPES
+    if binary != isinstance(payload, bytes):
+        raise ProtocolError(
+            f"frame type {ftype} carries {'bytes' if binary else 'a JSON object'}, "
+            f"got {type(payload).__name__}"
+        )
+    body = payload if binary else (
+        json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("utf-8")
+    )
     if len(body) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame payload of {len(body)} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte cap"
         )
-    crc = zlib.crc32(bytes((ftype,)) + body)
-    return _HEADER.pack(ftype, len(body), crc) + body
+    return _HEADER.pack(ftype, len(body), zlib.crc32(body, _TYPE_CRC[ftype])) + body
 
 
-def decode_frame(blob: bytes, offset: int = 0) -> Tuple[int, dict[str, Any], int]:
+def decode_frame(blob: bytes, offset: int = 0) -> Tuple[int, Any, int]:
     """Decode the frame starting at *offset*; returns
-    ``(type, payload, next_offset)``.
+    ``(type, payload, next_offset)`` — the payload is a dict, or the
+    checksummed body ``bytes`` for a binary frame type.
 
     Raises :class:`~repro.errors.ProtocolError` on any violation —
     truncated header or body, unknown type, oversized length, checksum
@@ -105,10 +124,7 @@ def decode_frame(blob: bytes, offset: int = 0) -> Tuple[int, dict[str, Any], int
             f"({len(blob) - offset} of {HEADER_LEN} bytes)"
         )
     ftype, length, crc = _HEADER.unpack_from(blob, offset)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"frame length {length} exceeds the {MAX_FRAME_BYTES}-byte cap"
-        )
+    _check_length(length)
     start = offset + HEADER_LEN
     if start + length > len(blob):
         raise ProtocolError(
@@ -116,10 +132,24 @@ def decode_frame(blob: bytes, offset: int = 0) -> Tuple[int, dict[str, Any], int
             f"({len(blob) - start} of {length} bytes)"
         )
     body = blob[start : start + length]
-    if zlib.crc32(bytes((ftype,)) + body) != crc:
+    return ftype, _payload(ftype, crc, body, offset), start + length
+
+
+def _check_length(length: int) -> None:
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(
+            f"frame length {length} exceeds the {MAX_FRAME_BYTES}-byte cap"
+        )
+
+
+def _payload(ftype: int, crc: int, body: bytes, offset: int) -> Any:
+    """Checksum, type check and payload decoding of one frame body."""
+    if zlib.crc32(body, _TYPE_CRC[ftype]) != crc:
         raise ProtocolError(f"frame checksum mismatch at offset {offset}")
     if ftype not in FRAME_TYPES:
         raise ProtocolError(f"unknown frame type {ftype} at offset {offset}")
+    if ftype in BINARY_FRAME_TYPES:
+        return body
     try:
         payload = json.loads(body.decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as e:
@@ -128,7 +158,7 @@ def decode_frame(blob: bytes, offset: int = 0) -> Tuple[int, dict[str, Any], int
         raise ProtocolError(
             f"frame payload must be an object, got {type(payload).__name__}"
         )
-    return ftype, payload, start + length
+    return payload
 
 
 class FrameSocket:
@@ -155,21 +185,18 @@ class FrameSocket:
                 f"bad magic preamble {got!r} (expected {MAGIC!r})"
             )
 
-    def send_frame(self, ftype: int, payload: dict[str, Any]) -> None:
+    def send_frame(self, ftype: int, payload: Any) -> None:
         self._send_all(encode_frame(ftype, payload))
 
-    def recv_frame(self) -> Tuple[int, dict[str, Any]]:
-        """Read exactly one frame; :class:`~repro.errors.ProtocolError`
-        on EOF, truncation or corruption."""
+    def recv_frame(self) -> Tuple[int, Any]:
+        """Read exactly one frame (payload as :func:`decode_frame` returns
+        it); :class:`~repro.errors.ProtocolError` on EOF, truncation or
+        corruption."""
         header = self._recv_exact(HEADER_LEN, context="frame header")
-        ftype, length, _crc = _HEADER.unpack_from(header, 0)
-        if length > MAX_FRAME_BYTES:
-            raise ProtocolError(
-                f"frame length {length} exceeds the {MAX_FRAME_BYTES}-byte cap"
-            )
+        ftype, length, crc = _HEADER.unpack_from(header, 0)
+        _check_length(length)
         body = self._recv_exact(length, context="frame payload")
-        ftype, payload, _ = decode_frame(header + body)
-        return ftype, payload
+        return ftype, _payload(ftype, crc, body, 0)
 
     # ------------------------------------------------------------------
     def _send_all(self, data: bytes) -> None:

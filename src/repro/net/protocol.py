@@ -3,13 +3,13 @@
 The wire carries three shapes (framed by :mod:`repro.net.frame`):
 
 * **Results** — a :class:`~repro.query.executor.StatementResult` list.
-  Non-streamed tables travel inline (schema + stored-form rows); the
+  Non-streamed tables travel inline (schema + stored-form rows, which
+  are JSON-native: ints, floats, strings, booleans, date ordinals); the
   *last* table result of a script is streamed instead: the RESULT
-  header carries only its schema and row count, then BATCH frames carry
-  the rows, then DONE closes the stream.  Stored values (ints, floats,
-  strings, booleans, date ordinals) are JSON-native, so a row
-  round-trips exactly and the client rebuilds the identical
-  :class:`~repro.storage.table.Table`.
+  header carries only its schema and row count, then COLUMNS frames
+  carry the rows as column buffers (:mod:`repro.storage.colcodec`),
+  then DONE closes the stream.  Either way the client rebuilds the
+  identical :class:`~repro.storage.table.Table`.
 * **Options** — the non-default fields of a
   :class:`~repro.obs.QueryOptions`, reconstructed server-side.
 * **Errors** — every server-side exception crosses as a *stable* error
@@ -250,7 +250,7 @@ def encode_result(r: StatementResult, *, stream_table: bool = False) -> dict[str
     """One statement result as a wire dict.
 
     With ``stream_table`` the table travels as meta only — the caller
-    streams its rows in BATCH frames.  Profiles and plans are
+    streams its rows in COLUMNS frames.  Profiles and plans are
     server-side observability and do not cross the wire (the server's
     metrics registry and spans hold them; docs/NETWORK.md).
     """

@@ -17,12 +17,12 @@ Connection lifecycle (frames: :mod:`repro.net.frame`)::
                        <- HELLO_OK  wire on unknown users)
     EXECUTE {source}   ->           admission -> submit -> results
                        <- RESULT    header (non-streamed results inline)
-                       <- BATCH*    the last table's rows, batched
-                       <- DONE
+                       <- COLUMNS*  the last table's rows, batched
+                       <- DONE      as column buffers (storage.colcodec)
     PREPARE {source}   ->           compile once, session-scoped id
                        <- PREPARED
     EXEC_PREPARED      ->           bind + execute
-                       <- RESULT / BATCH* / DONE
+                       <- RESULT / COLUMNS* / DONE
     BYE                ->           orderly close
 
 Failure semantics: any server-side exception crosses as one ERROR frame
@@ -44,15 +44,17 @@ from typing import Any, Mapping, Optional, Tuple
 
 from repro.errors import (
     AccessError,
+    ExecutionError,
     GraQLError,
     PromotionError,
     ProtocolError,
     ServerBusy,
     WalError,
 )
+from repro.net import frame
 from repro.net.frame import (
-    FT_BATCH,
     FT_BYE,
+    FT_COLUMNS,
     FT_DONE,
     FT_ERROR,
     FT_EXEC_PREPARED,
@@ -82,6 +84,7 @@ from repro.serve.connection import (
     LocalConnection,
     TRANSPORT_IR,
 )
+from repro.storage.colcodec import encode_columns
 
 #: sessions a server carries at once before refusing with ServerBusy
 DEFAULT_MAX_CONNECTIONS = 64
@@ -523,7 +526,7 @@ class _Session:
             ).inc()
             fs.send_frame(FT_ERROR, encode_error(e, span=self._span_ctx(req)))
             return
-        rows = self._stream_results(fs, results, batch_rows)
+        rows = self._stream_results(fs, req, results, batch_rows)
         elapsed = time.perf_counter() - t0
         span.set(rows=rows, statements=len(results))
         srv._record_span(span)
@@ -531,17 +534,35 @@ class _Session:
             "graql_net_request_seconds", "wall time per request",
         ).observe(elapsed)
 
-    def _stream_results(self, fs: FrameSocket, results, batch_rows: int) -> int:
-        """RESULT header, then the last table's rows in BATCH frames."""
+    def _stream_results(
+        self, fs: FrameSocket, req: int, results, batch_rows: int
+    ) -> int:
+        """RESULT header, then the last table's rows in COLUMNS frames.
+
+        A batch whose frame would exceed the frame cap is split; a
+        single row too large for any frame ends the stream with a typed
+        ERROR (in place of DONE) and leaves the session usable."""
         srv = self.server
         header = encode_results(results)
         fs.send_frame(FT_RESULT, header)
         streamed = 0
         if header["stream"] is not None:
             table = results[header["stream"]["index"]].table
-            for batch in table.iter_batches(batch_rows):
-                fs.send_frame(FT_BATCH, {"rows": [list(r) for r in batch]})
-                streamed += len(batch)
+            n = table.num_rows
+            for start in range(0, n, batch_rows):
+                stop = min(start + batch_rows, n)
+                try:
+                    bodies = _fitted_bodies(table, start, stop)
+                except ExecutionError as e:
+                    srv.metrics.counter(
+                        "graql_net_errors_total", "requests answered with an error",
+                        labels={"code": error_code(e)},
+                    ).inc()
+                    fs.send_frame(FT_ERROR, encode_error(e, span=self._span_ctx(req)))
+                    return streamed
+                for body in bodies:
+                    fs.send_frame(FT_COLUMNS, body)
+                streamed += stop - start
         if streamed:
             # count before DONE: once the client has the acknowledgment,
             # the rows are visible in the server's metrics
@@ -668,6 +689,23 @@ class _Session:
                 "graql_net_bytes_received_total", "wire bytes received from clients"
             ).inc(received)
             self._flushed_received = fs.bytes_received
+
+
+def _fitted_bodies(table, start: int, stop: int) -> list[bytes]:
+    """Column bodies for rows ``[start, stop)``, halving the range until
+    every body fits the frame cap.  A row that fits no frame is an
+    ExecutionError: the statement ran, its result cannot be delivered —
+    not a transport fault the client should heal by retrying."""
+    body = encode_columns(table, start, stop)
+    if len(body) <= frame.MAX_FRAME_BYTES:
+        return [body]
+    if stop - start == 1:
+        raise ExecutionError(
+            f"row {start} of result table {table.name!r} encodes to "
+            f"{len(body)} bytes, over the {frame.MAX_FRAME_BYTES}-byte frame cap"
+        )
+    mid = (start + stop) // 2
+    return _fitted_bodies(table, start, mid) + _fitted_bodies(table, mid, stop)
 
 
 def _close_quietly(sock: socket.socket) -> None:
