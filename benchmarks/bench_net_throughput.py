@@ -4,12 +4,12 @@ Measures what the network layer costs relative to the in-process path
 on identical workloads against one shared engine:
 
 1. **One-shot latency**: `RemoteConnection.execute` vs. the same
-   statement through an in-process IR-transport connection.  The remote
+   statement through an in-process connection onto the same server.  The remote
    path adds framing, one socket round trip and result re-
    materialization; asserted only to stay within a sane multiple, since
    loopback latency dwarfs nothing here.
 2. **Prepared vs. one-shot over the wire**: prepared execution skips
-   the per-request front-end compile exactly as it does in-process —
+   the per-request parse exactly as it does in-process —
    asserted faster than one-shot against a *cold* plan cache (the
    apples-to-apples case; a warm plan cache makes one-shot equivalent,
    which is the cache doing its job), and row-identical.
@@ -64,7 +64,7 @@ def test_wire_tax_and_prepared_speedup(benchmark):
     rounds = 30
     try:
         remote = connect(srv.url)
-        local = connect(db.server, transport="ir")
+        local = connect(db.server)
         params = {"MinAge": 70}
 
         expected = sorted(
@@ -96,7 +96,7 @@ def test_wire_tax_and_prepared_speedup(benchmark):
         def remote_prepared():
             return ps.execute(params)[-1].table
 
-        cache = db.server.serving.cache
+        cache = db.server.cache
 
         def remote_one_shot_cold():
             # a cold plan cache: every request pays the full front end,

@@ -72,7 +72,7 @@ def test_cache_hit_beats_cold_compile(benchmark):
 
     # populate, then time the hit path the engine runs instead of compiling
     db.execute(QUERY)
-    cache = db.server.serving.cache
+    cache = db.server.cache
 
     def cache_hit():
         key = cache.key(QUERY, None, db.catalog.epoch)
@@ -97,7 +97,7 @@ def test_cache_hit_beats_cold_compile(benchmark):
     )
     # and a hit returns the same rows as a cold execution
     warm = db.query(QUERY)
-    db.server.serving.cache.invalidate()
+    db.server.cache.invalidate()
     cold = db.query(QUERY)
     assert sorted(map(tuple, warm.iter_rows())) == sorted(
         map(tuple, cold.iter_rows())
@@ -111,7 +111,7 @@ def test_cache_hit_beats_cold_compile(benchmark):
 
 def _run_batch(db: Database, submissions: int) -> float:
     """Wall-clock seconds to drain *submissions* pooled read queries."""
-    serving = db.server.serving
+    server = db.server
     expected = db.query(QUERY).num_rows
 
     def one() -> int:
@@ -119,12 +119,12 @@ def _run_batch(db: Database, submissions: int) -> float:
 
     t0 = time.perf_counter()
     futures = [
-        serving.submit_work("admin", False, one) for _ in range(submissions)
+        server.submit_work("admin", False, one) for _ in range(submissions)
     ]
     counts = [f.result(timeout=120) for f in futures]
     elapsed = time.perf_counter() - t0
     assert counts == [expected] * submissions
-    serving.close()
+    server.close()
     return elapsed
 
 

@@ -6,7 +6,8 @@ backend.  This example drives those pieces directly:
 
 1. accounts and role-based rights on the front-end server,
 2. static rejection of an ill-typed script *before* any backend effect,
-3. binary-IR shipping with byte accounting,
+3. binary-IR shipping to the (simulated) backend cluster, with byte
+   accounting,
 4. EXPLAIN plans (strategy, sweep direction, selectivities, schedule),
 5. pipelined execution of a dependent statement pair (III-B1) with its
    intermediate-space accounting.
@@ -20,7 +21,9 @@ from repro.workloads.berlin import BERLIN_DDL, generate_berlin
 
 
 def main() -> None:
-    server = Server()
+    # the backend is a 2-worker simulated cluster: the server ships each
+    # statement to it as binary IR
+    server = Server(workers=2)
 
     # 1. accounts & rights -------------------------------------------------
     server.create_user("admin", "etl", "writer")
@@ -32,6 +35,7 @@ def main() -> None:
     for name, rows in data.tables.items():
         server.backend.ingest_rows(name, rows)
     server.catalog.refresh(server.backend)
+    server.cluster.rebuild()  # rows went in behind the statement path
     print(f"loaded: {server.backend}")
 
     print("\nanalyst tries to create a table (must be refused):")

@@ -299,7 +299,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     With ``--jobs N`` and several scripts, checks run on a thread pool;
     each job analyzes against a :meth:`~repro.catalog.Catalog.scratch_copy`
-    taken under the serving engine's read lock, so a live server can keep
+    taken under the server's catalog read lock, so a live server can keep
     executing (even DDL) while scripts are being checked.
     """
     from repro.analysis import Analyzer
@@ -316,10 +316,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         except OSError as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
-    serving = db.server.serving
-
     def check_one(source: str):
-        with serving.lock.read_locked():
+        with db.server.lock.read_locked():
             catalog = db.catalog.scratch_copy()
         return Analyzer(catalog).analyze(source, params or None)
 

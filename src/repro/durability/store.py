@@ -578,7 +578,7 @@ class DurableStore:
 
         The resident :class:`GraphDB` object is rebuilt *in place* (its
         ``__dict__`` swapped) so every holder of the backend reference —
-        serving engine, catalog, server — observes the new state without
+        catalog, server — observes the new state without
         rewiring.  The snapshot is persisted as a checkpoint and the WAL
         restarts empty, exactly like :meth:`checkpoint`.  Caller must
         hold the serving layer's write lock.

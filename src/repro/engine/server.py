@@ -10,55 +10,76 @@
 * ``writer`` — additionally may ingest and create objects;
 * ``admin``  — additionally may manage accounts.
 
-``submit`` runs the complete front-end pipeline (parse -> substitute ->
-static analysis -> binary IR) and only then hands the IR to the backend,
-so an ill-typed script is rejected before touching any data — exactly the
-paper's static-analysis placement.  The backend is pluggable: the default
-executes against a local :class:`~repro.graph.graphdb.GraphDB`; the
-simulated cluster of :mod:`repro.dist` plugs in the same way.
+Every script runs through **one statement pipeline** on the server,
+whichever adapter submitted it — :meth:`Server.submit`, an in-process
+:class:`~repro.serve.Connection` or cursor, a prepared statement, or a
+:class:`~repro.net.GraqlServer` session:
 
-The server is *shared*: every submission passes through the
-:class:`~repro.serve.ServingEngine` — admission control with a bounded
-queue (:class:`~repro.errors.ServerBusy` on overload), a
-writer-preferring reader-writer catalog lock (selects run concurrently,
-DDL/ingest serialize), and a plan cache keyed on (canonical script,
-parameters, catalog epoch).  Clients normally talk to it through
-:func:`repro.connect` (docs/API.md).
+1. parse (prepared statements parsed once, up front);
+2. pure reads consult the plan cache, keyed on (canonical script,
+   parameters, catalog epoch) — a hit executes the cached resolutions;
+3. check every statement's access rights, substitute parameters and
+   statically check the *whole* script against a scratch catalog, so an
+   ill-typed script is rejected before any statement touches data —
+   the paper's static-analysis placement;
+4. execute each statement's resolution.  A statement is re-checked
+   against the live catalog only once an earlier statement of the same
+   script has moved the catalog epoch.
+
+With ``workers`` set the backend is the simulated cluster of
+:mod:`repro.dist`, and step 4 ships each statement to it as binary IR:
+encode, verify, decode on the backend, then distributed execution
+(``ir_bytes_shipped``, ``compile_ir``/``decode_ir`` profile stages).
+
+The server is *shared*: admission control with a bounded queue
+(:class:`~repro.errors.ServerBusy` on overload), a writer-preferring
+reader-writer catalog lock (selects run concurrently, DDL/ingest
+serialize), a worker pool for asynchronous submissions, the plan cache
+and a replica read-only mode all live here.  Clients normally talk to it
+through :func:`repro.connect` (docs/API.md).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Mapping, Optional
+from concurrent.futures import Future, ThreadPoolExecutor
+from typing import Any, Callable, Mapping, Optional
 
 from repro.catalog import Catalog
-from repro.errors import AccessError
+from repro.errors import AccessError, ClosedError, NotPrimary
 from repro.graph.graphdb import GraphDB
-from repro.graql.ast import (
-    CreateEdge,
-    CreateIndex,
-    CreateTable,
-    CreateVertex,
-    DropIndex,
-    GraphSelect,
-    Ingest,
-    Script,
-    TableSelect,
-)
+from repro.graql.ast import Script
 from repro.analysis.verifier import verify_statement_ir
 from repro.graql.compiler import CompiledProgram, compile_script
-from repro.graql.ir import decode_statement
+from repro.graql.ir import decode_statement, encode_statement
+from repro.graql.params import substitute_statement
+from repro.graql.parser import parse_script
+from repro.graql.typecheck import check_script, check_statement
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.options import QueryOptions, reject_legacy_kwargs, resolve_options
 from repro.obs.profile import record_profile_metrics
-from repro.query.executor import StatementResult, execute_statement
+from repro.query.executor import StatementResult, execute_checked
+from repro.serve.admission import AdmissionController
+from repro.serve.cache import PlanCache
+from repro.serve.engine import script_is_write, statement_is_write
+from repro.serve.locks import RWLock
 
 ROLE_READER = "reader"
 ROLE_WRITER = "writer"
 ROLE_ADMIN = "admin"
 
 _ROLE_RANK = {ROLE_READER: 0, ROLE_WRITER: 1, ROLE_ADMIN: 2}
+
+#: defaults for the serving layer; overridable per Server via
+#: ``serving_opts``
+DEFAULT_MAX_WORKERS = 8
+DEFAULT_MAX_QUEUE = 32
+DEFAULT_CACHE_CAPACITY = 128
+
+
+def _ms_since(t0: float) -> float:
+    return (time.perf_counter() - t0) * 1000.0
 
 
 class User:
@@ -78,16 +99,17 @@ class User:
 
 
 class Server:
-    """Front-end server: accounts + catalog + compile + dispatch.
+    """Front-end server: accounts + catalog + the statement pipeline.
 
     With ``workers`` set, the backend is the simulated cluster
     (:class:`repro.dist.Cluster`): IR-decoded statements execute
     distributed where the set-frontier strategy applies, completing the
     paper's client -> server -> backend-cluster picture.
 
-    ``serving_opts`` tunes the concurrent serving layer (worker-pool
-    size, admission queue bound, per-user in-flight limit, plan-cache
-    capacity) — see :class:`repro.serve.ServingEngine`.
+    ``serving_opts`` tunes the concurrency controls: ``max_workers``
+    (worker-pool size), ``max_queue`` (admission queue bound beyond the
+    workers), ``per_user_limit`` (in-flight submissions per user) and
+    ``cache_capacity`` (plan-cache entries).
     """
 
     def __init__(
@@ -112,7 +134,8 @@ class Server:
         #: wired by ``Database.open``; when set, account changes are
         #: logged to the WAL like any other mutation
         self.durability = None
-        #: total IR bytes shipped to the backend (measured, Section III)
+        #: total IR bytes shipped to the backend cluster (measured,
+        #: Section III); stays 0 without ``workers``
         self.ir_bytes_shipped = 0
         #: statements the cluster answered via single-node fallback
         self.degraded_statements = 0
@@ -121,21 +144,32 @@ class Server:
         #: guards the plain counters above under concurrent submits
         self._counter_lock = threading.Lock()
 
-        from repro.serve.engine import ServingEngine
-
-        #: the shared-server concurrency core (admission, RW catalog
-        #: lock, worker pool, plan cache)
-        self.serving = ServingEngine(
-            self.catalog,
-            self.backend,
-            self.metrics,
-            **dict(serving_opts or {}),
+        max_workers, max_queue, per_user_limit, cache_capacity = _serving_config(
+            **dict(serving_opts or {})
         )
+        self.max_workers = max_workers
+        #: the writer-preferring catalog lock: pure reads share it,
+        #: anything with effects holds it exclusively
+        self.lock = RWLock()
+        self.admission = AdmissionController(
+            max_in_flight=max_workers + max_queue,
+            per_user_limit=per_user_limit,
+            metrics=self.metrics,
+        )
+        self.cache = PlanCache(capacity=cache_capacity, metrics=self.metrics)
+        self._pool: Optional[ThreadPoolExecutor] = None
+        self._pool_lock = threading.Lock()
+        self._closed = False
+        #: replica mode (docs/REPLICATION.md): writes are rejected with
+        #: :class:`~repro.errors.NotPrimary` carrying the primary's URL
+        self.read_only = False
+        self.primary_url: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Account management
     # ------------------------------------------------------------------
     def create_user(self, admin: str, name: str, role: str) -> User:
+        self._check_open()
         self._require(admin, ROLE_ADMIN)
         if name in self.users:
             raise AccessError(f"user {name!r} already exists")
@@ -151,6 +185,7 @@ class Server:
         return user
 
     def drop_user(self, admin: str, name: str) -> None:
+        self._check_open()
         self._require(admin, ROLE_ADMIN)
         if name == "admin":
             raise AccessError("the admin account cannot be dropped")
@@ -174,11 +209,37 @@ class Server:
             )
         return user
 
+    def _check_rights(self, username: str, stmt) -> None:
+        self._require(
+            username, ROLE_WRITER if statement_is_write(stmt) else ROLE_READER
+        )
+
+    # ------------------------------------------------------------------
+    # Replica mode
+    # ------------------------------------------------------------------
+    def set_read_only(self, primary_url: Optional[str] = None) -> None:
+        """Reject write submissions from now on (streaming replica).
+
+        The replication applier bypasses this by taking ``self.lock``
+        directly — only *client* writes are fenced."""
+        self._check_open()
+        self.read_only = True
+        self.primary_url = primary_url
+
+    def set_writable(self) -> None:
+        """Lift replica mode (promotion)."""
+        self._check_open()
+        self.read_only = False
+        self.primary_url = None
+
     # ------------------------------------------------------------------
     # Script submission
     # ------------------------------------------------------------------
     def connect(self, user: str = "admin", *, transport: str = "ir"):
-        """A :class:`~repro.serve.Connection` onto this server."""
+        """A :class:`~repro.serve.Connection` onto this server
+        (``transport`` is accepted for compatibility and selects
+        nothing: every connection runs the one pipeline)."""
+        self._check_open()
         from repro.serve.connection import connect
 
         return connect(self, user, transport=transport)
@@ -190,23 +251,12 @@ class Server:
         params: Optional[Mapping[str, Any]] = None,
     ) -> CompiledProgram:
         """Front-end work only: parse, substitute, check, encode."""
+        self._check_open()
         self._require(username, ROLE_READER)
         program = compile_script(graql, self.catalog, params)
         for cs in program:
             self._check_rights(username, cs.statement)
         return program
-
-    def _check_rights(self, username: str, stmt) -> None:
-        if isinstance(
-            stmt,
-            (CreateTable, CreateVertex, CreateEdge, CreateIndex, DropIndex, Ingest),
-        ):
-            self._require(username, ROLE_WRITER)
-        elif isinstance(stmt, (GraphSelect, TableSelect)):
-            if stmt.into is not None:
-                self._require(username, ROLE_WRITER)
-            else:
-                self._require(username, ROLE_READER)
 
     def submit(
         self,
@@ -217,11 +267,7 @@ class Server:
         options: Optional[QueryOptions] = None,
         **legacy: Any,
     ) -> list[StatementResult]:
-        """Compile on the front-end, ship IR, execute on the backend.
-
-        The backend decodes each statement from its IR bytes — the
-        round-trip is real, not decorative, so the IR is exercised on
-        every submission.
+        """Run a script through the statement pipeline on this thread.
 
         ``timeout_s`` (or ``options.timeout``) is a per-statement
         wall-clock budget for the distributed backend; a statement that
@@ -230,17 +276,16 @@ class Server:
         Results answered degraded are counted in
         ``degraded_statements`` and flagged on the result itself.
 
-        Runs through the serving engine: admission control may raise
-        :class:`~repro.errors.ServerBusy`; read-only scripts execute
-        under the shared catalog lock (and may be answered from the
-        plan cache, flagged ``cache: hit`` in the profile); anything
-        with effects serializes.  The removed ``force_*`` kwargs raise
-        ``TypeError`` pointing at :class:`~repro.obs.QueryOptions`.
+        Admission control may raise :class:`~repro.errors.ServerBusy`;
+        read-only scripts execute under the shared catalog lock (and may
+        be answered from the plan cache, flagged ``cache: hit`` in the
+        profile); anything with effects serializes.  The removed
+        ``force_*`` kwargs raise ``TypeError`` pointing at
+        :class:`~repro.obs.QueryOptions`.
         """
-        opts, timeout_s = self._resolve_submit(username, timeout_s, options, legacy)
-        return self.serving.run(
-            username, graql, params, opts,
-            self._ir_runner(username, params, timeout_s),
+        reject_legacy_kwargs(legacy, "Server.submit")
+        return self._admitted(
+            username, self._script_job(username, graql, params, timeout_s, options)
         )
 
     def submit_async(
@@ -250,91 +295,279 @@ class Server:
         params: Optional[Mapping[str, Any]] = None,
         timeout_s: Optional[float] = None,
         options: Optional[QueryOptions] = None,
-    ):
-        """:meth:`submit` on the serving engine's worker pool; returns a
+    ) -> "Future[list[StatementResult]]":
+        """:meth:`submit` on the worker pool; returns a
         ``concurrent.futures.Future`` resolving to the result list.
         Admission (including :class:`~repro.errors.ServerBusy`) happens
         synchronously, before the future is created."""
-        opts, timeout_s = self._resolve_submit(username, timeout_s, options, {})
-        return self.serving.submit(
-            username, graql, params, opts,
-            self._ir_runner(username, params, timeout_s),
+        return self._admitted_async(
+            username, self._script_job(username, graql, params, timeout_s, options)
         )
 
-    def _resolve_submit(self, username, timeout_s, options, legacy):
-        reject_legacy_kwargs(legacy, "Server.submit")
+    def run_work(self, user: str, write: bool, fn: Callable[[], Any]) -> Any:
+        """Admit and run *fn* under the read or write lock, on this
+        thread (direct ingest, checkpoints, prepared statements)."""
+        return self._admitted(user, lambda: self._locked(write, fn))
+
+    def submit_work(
+        self, user: str, write: bool, fn: Callable[[], Any]
+    ) -> "Future[Any]":
+        """:meth:`run_work` on the worker pool; admission happens now."""
+        return self._admitted_async(user, lambda: self._locked(write, fn))
+
+    def _script_job(self, username, graql, params, timeout_s, options):
         # cheap pre-check so a cache hit cannot bypass access control;
-        # per-statement write rights are checked at compile time, and
-        # cached programs are always pure reads
+        # per-statement write rights are checked before any statement
+        # runs, and cached programs are always pure reads
         self._require(username, ROLE_READER)
         opts = resolve_options(options)
         if timeout_s is None:
             timeout_s = opts.timeout
-        return opts, timeout_s
+        return lambda: self._run_script(username, graql, params, opts, timeout_s)
 
-    def _ir_runner(self, username, params, timeout_s):
-        def run(script: Script, opts: QueryOptions, parse_ms: float) -> tuple:
-            t0 = time.perf_counter()
-            program = self.compile(username, script, params)
-            compile_ms = parse_ms + (time.perf_counter() - t0) * 1000.0
-            results = self._execute_compiled(program, opts, timeout_s, compile_ms)
-            if self.cluster is not None:
-                # a cache hit would replay locally, bypassing the cluster
-                return results, None
-            return results, [cs.checked for cs in program]
+    # ------------------------------------------------------------------
+    # Admission, pool, locking
+    # ------------------------------------------------------------------
+    def _check_open(self) -> None:
+        if self._closed:
+            raise ClosedError("server is closed; no further statements accepted")
 
-        return run
+    @property
+    def closed(self) -> bool:
+        return self._closed
 
-    def _execute_compiled(
+    @property
+    def pool(self) -> ThreadPoolExecutor:
+        """The worker pool, created on first asynchronous submission
+        (keeps short-lived in-process databases from spawning threads).
+
+        Raises :class:`~repro.errors.ClosedError` once the server is
+        closed — recreating the pool after :meth:`close` drained it
+        would leak a zombie executor no one shuts down.
+        """
+        self._check_open()
+        with self._pool_lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self.max_workers,
+                    thread_name_prefix="graql-serve",
+                )
+            return self._pool
+
+    def _admitted(self, user: str, fn: Callable[[], Any]) -> Any:
+        self._check_open()
+        ticket = self.admission.admit(user)
+        try:
+            return fn()
+        finally:
+            self.admission.release(ticket)
+
+    def _admitted_async(self, user: str, fn: Callable[[], Any]) -> "Future[Any]":
+        self._check_open()
+        ticket = self.admission.admit(user)
+
+        def job() -> Any:
+            try:
+                return fn()
+            finally:
+                self.admission.release(ticket)
+
+        try:
+            return self.pool.submit(job)
+        except BaseException:
+            self.admission.release(ticket)
+            raise
+
+    def _locked(self, write: bool, fn: Callable[[], Any]) -> Any:
+        if write:
+            return self._write(fn)
+        with self.lock.read_locked():
+            return fn()
+
+    def _write(self, fn: Callable[[], Any]) -> Any:
+        if self.read_only:
+            raise NotPrimary(
+                "this node is a read-only replica; retry the write on the primary",
+                primary=self.primary_url,
+            )
+        with self.lock.write_locked():
+            epoch = self.catalog.epoch
+            out = fn()
+            changed = self.catalog.epoch != epoch
+        if changed:
+            # old entries are unreachable by key — free their memory
+            # too.  A write that changed nothing (a zero-row ingest, a
+            # checkpoint) leaves the epoch and every cached plan alone.
+            self.cache.invalidate()
+        return out
+
+    def close(self) -> None:
+        """Stop accepting submissions and drain the worker pool.
+
+        In-flight work completes; afterwards every submission raises
+        :class:`~repro.errors.ClosedError` instead of deadlocking on a
+        shut-down pool.  Idempotent.
+        """
+        self._closed = True
+        # swap the pool out under the lock, drain it outside: shutdown
+        # blocks on in-flight work, and nothing that long may run under
+        # _pool_lock (a concurrent pool-property access would stall
+        # behind the whole drain)
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
+
+    # ------------------------------------------------------------------
+    # The statement pipeline
+    # ------------------------------------------------------------------
+    def _run_script(
         self,
-        program: CompiledProgram,
+        username: str,
+        source: str,
+        params: Optional[Mapping[str, Any]],
         opts: QueryOptions,
         timeout_s: Optional[float],
-        compile_ms: float,
     ) -> list[StatementResult]:
-        """Backend half of a submission: verify, decode, execute, meter."""
+        t0 = time.perf_counter()
+        script = parse_script(source)
+        parse = ("parse", _ms_since(t0))
+        if script_is_write(script):
+            return self._write(
+                lambda: self._execute(
+                    username, script, params, opts, timeout_s, [parse]
+                )[0]
+            )
+        with self.lock.read_locked():
+            key = self.cache.key(source, params, self.catalog.epoch)
+            entry = self.cache.lookup(key)
+            if entry is not None:
+                return self._execute_cached(entry.checked, opts, parse[1])
+            results, checked = self._execute(
+                username, script, params, opts, timeout_s, [parse]
+            )
+            if self.cluster is None:
+                # a cache hit replays locally, bypassing the cluster
+                self.cache.store(key, checked)
+            return results
+
+    def _execute(
+        self,
+        username: str,
+        script: Script,
+        params: Optional[Mapping[str, Any]],
+        opts: QueryOptions,
+        timeout_s: Optional[float] = None,
+        stages: Optional[list] = None,
+    ) -> tuple[list[StatementResult], list]:
+        """Check and execute a parsed script under the caller's lock.
+
+        Returns the results and each statement's resolution.  *stages*
+        (the parse, when there was one) lead the first statement's
+        profile, followed by the script-level substitute and typecheck.
+        """
+        for stmt in script.statements:
+            self._check_rights(username, stmt)
+        stages = list(stages or ())
+        statements = script.statements
+        if params:
+            t0 = time.perf_counter()
+            statements = [substitute_statement(s, params) for s in statements]
+            stages.append(("substitute", _ms_since(t0)))
+        t0 = time.perf_counter()
+        checked = check_script(Script(statements), self.catalog)
+        stages.append(("typecheck", _ms_since(t0)))
+        epoch = self.catalog.epoch
         results = []
-        for i, cs in enumerate(program):
-            # last line of defense before the backend decodes blindly:
-            # reject corrupted/hand-crafted IR with a positioned IRError
-            verify_statement_ir(cs.ir, self.catalog)
-            with self._counter_lock:
-                self.ir_bytes_shipped += cs.ir_size
-            t1 = time.perf_counter()
-            stmt = decode_statement(cs.ir)  # backend-side decode
-            decode_ms = (time.perf_counter() - t1) * 1000.0
+        for i, stmt in enumerate(statements):
+            if self.catalog.epoch != epoch:
+                # an earlier statement moved the catalog: the scratch
+                # resolution is stale, resolve against the live one
+                t0 = time.perf_counter()
+                checked[i] = check_statement(stmt, self.catalog)
+                stages.append(("typecheck", _ms_since(t0)))
             if self.cluster is not None:
-                result = self.cluster.execute_statement(
-                    stmt, timeout_s=timeout_s, options=opts
-                )
-                if result.degraded:
-                    with self._counter_lock:
-                        self.degraded_statements += 1
+                result = self._ship(stmt, opts, timeout_s, stages)
             else:
-                result = execute_statement(
-                    self.backend, self.catalog, stmt, options=opts
-                )
-            if result.profile is not None:
-                if i == 0:
-                    # front-end compile covers the whole program
-                    result.profile.stages.insert(0, ("compile_ir", compile_ms))
-                    result.profile.stages.insert(1, ("decode_ir", decode_ms))
-                else:
-                    result.profile.stages.insert(0, ("decode_ir", decode_ms))
-                record_profile_metrics(self.metrics, result.profile)
+                result = execute_checked(self.backend, self.catalog, checked[i], opts)
+            self._record(result, stages)
+            stages = []
+            results.append(result)
+        return results, checked
+
+    def _ship(
+        self,
+        stmt,
+        opts: QueryOptions,
+        timeout_s: Optional[float],
+        stages: list,
+    ) -> StatementResult:
+        """Ship one statement to the backend cluster as binary IR."""
+        t0 = time.perf_counter()
+        ir = encode_statement(stmt)
+        # last line of defense before the backend decodes blindly:
+        # reject corrupted/hand-crafted IR with a positioned IRError
+        verify_statement_ir(ir, self.catalog)
+        stages.append(("compile_ir", _ms_since(t0)))
+        with self._counter_lock:
+            self.ir_bytes_shipped += len(ir)
+        t0 = time.perf_counter()
+        decoded = decode_statement(ir)  # backend-side decode
+        stages.append(("decode_ir", _ms_since(t0)))
+        result = self.cluster.execute_statement(
+            decoded, timeout_s=timeout_s, options=opts
+        )
+        if result.degraded:
+            with self._counter_lock:
+                self.degraded_statements += 1
+        if result.profile is not None:
+            self.metrics.counter(
+                "graql_ir_bytes_total", "IR bytes shipped to the backend cluster"
+            ).inc(len(ir))
+            if result.degraded:
                 self.metrics.counter(
-                    "graql_ir_bytes_total", "IR bytes shipped to the backend"
-                ).inc(cs.ir_size)
-                if result.degraded:
-                    self.metrics.counter(
-                        "graql_degraded_statements_total",
-                        "statements answered via single-node fallback",
-                    ).inc()
+                    "graql_degraded_statements_total",
+                    "statements answered via single-node fallback",
+                ).inc()
+        return result
+
+    def _execute_cached(
+        self, resolutions: list, opts: QueryOptions, parse_ms: float
+    ) -> list[StatementResult]:
+        results = []
+        for checked in resolutions:
+            result = execute_checked(self.backend, self.catalog, checked, opts)
+            if result.profile is not None:
+                # the cache lookup replaced the whole front-end pipeline;
+                # the parse needed for classification is all that remains
+                result.profile.cache_hit = True
+                self._record(result, [("cache", parse_ms)])
+                self.metrics.counter(
+                    "graql_statements_cached_total",
+                    "statements answered from the plan cache",
+                ).inc()
             results.append(result)
         return results
+
+    def _record(self, result: StatementResult, stages: list) -> None:
+        """Prepend the front-end *stages* and fold the profile into the
+        server's metrics."""
+        if result.profile is not None:
+            result.profile.stages[:0] = stages
+            record_profile_metrics(self.metrics, result.profile)
 
     def __repr__(self) -> str:
         return (
             f"Server(users={len(self.users)}, objects="
             f"{len(self.catalog.tables) + len(self.catalog.vertices) + len(self.catalog.edges)})"
         )
+
+
+def _serving_config(
+    max_workers: int = DEFAULT_MAX_WORKERS,
+    max_queue: int = DEFAULT_MAX_QUEUE,
+    per_user_limit: Optional[int] = None,
+    cache_capacity: int = DEFAULT_CACHE_CAPACITY,
+) -> tuple:
+    """Validate ``serving_opts`` keys (an unknown one is a TypeError)."""
+    return max_workers, max_queue, per_user_limit, cache_capacity

@@ -20,10 +20,11 @@ catalog statistics fresh across DDL and ingest.
 
 Since the serving-layer redesign (docs/API.md), a ``Database`` is a thin
 wrapper over one in-process :class:`~repro.serve.Connection` onto its own
-:class:`~repro.engine.server.Server`: every ``execute``/``query`` passes
-through the shared serving engine (admission control, reader-writer
-catalog lock, plan cache), so a ``Database`` is safe to share across
-threads — concurrent selects run in parallel, DDL/ingest serialize.
+:class:`~repro.engine.server.Server`: every ``execute``/``query`` runs
+the server's one statement pipeline (admission control, reader-writer
+catalog lock, plan cache, whole-script static check), so a ``Database``
+is safe to share across threads — concurrent selects run in parallel,
+DDL/ingest serialize, and an ill-typed script runs no statement.
 ``db.connect()`` hands out further connections (and cursors, and
 prepared statements) onto the same engine.
 """
@@ -93,7 +94,7 @@ class Database:
         #: process-wide counters/gauges/histograms for this database
         self.metrics = self._server.metrics
         #: the one in-process connection execute/query run through
-        self._conn = connect(self._server, "admin", transport="local")
+        self._conn = connect(self._server, "admin")
 
         if self._store is not None:
             # arm the journal only now: recovery replays are not re-logged
@@ -154,16 +155,16 @@ class Database:
         the snapshot path, or None for an in-memory database."""
         if self._store is None:
             return None
-        return self._server.serving.run_work("admin", True, self._store.checkpoint)
+        return self._server.run_work("admin", True, self._store.checkpoint)
 
     def close(self) -> None:
-        """Shut down: drain the serving worker pool, flush and close the
+        """Shut down: drain the server's worker pool, flush and close the
         WAL.  Idempotent.  Afterwards every submission raises
         :class:`~repro.errors.ClosedError`."""
         if self._closed:
             return
         self._closed = True
-        self._server.serving.close()
+        self._server.close()
         if self._store is not None:
             self._store.close()
 
@@ -183,20 +184,19 @@ class Database:
     @property
     def server(self):
         """The in-process :class:`~repro.engine.server.Server` backing
-        this database (shared catalog, metrics and serving engine)."""
+        this database (shared catalog, metrics and concurrency controls)."""
         return self._server
 
     def connect(self, user: str = "admin", *, transport: str = "local"):
         """A new :class:`~repro.serve.Connection` onto this database's
-        server.  ``transport="ir"`` runs the full front-end IR pipeline
-        per submission; the default ``"local"`` path skips the IR
-        round-trip."""
+        server.  ``transport`` is kept for compatibility and selects
+        nothing: every connection runs the server's one pipeline."""
         from repro.serve.connection import connect
 
         return connect(self._server, user, transport=transport)
 
     def prepare(self, graql: str):
-        """Parse/typecheck/IR-encode once; bind parameters per execution
+        """Parse/check/IR-encode once; bind parameters per execution
         (:class:`~repro.serve.PreparedStatement`)."""
         return self._conn.prepare(graql)
 
@@ -291,7 +291,7 @@ class Database:
             record_refresh_metrics(self.metrics, report)
             return n
 
-        return self._server.serving.run_work("admin", True, work)
+        return self._server.run_work("admin", True, work)
 
     def table(self, name: str) -> Table:
         return self.db.table(name)
@@ -413,7 +413,7 @@ class Database:
             )
 
         # pipelined scripts register result tables: treat as a writer
-        results, stats = self._server.serving.run_work("admin", True, work)
+        results, stats = self._server.run_work("admin", True, work)
         for r in results:
             if r.profile is not None:
                 record_profile_metrics(self.metrics, r.profile)

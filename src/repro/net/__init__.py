@@ -5,7 +5,7 @@
 - :mod:`repro.net.protocol` — message codecs: results, options, and the
   stable wire-error taxonomy.
 - :mod:`repro.net.server` — :class:`GraqlServer`, a thread-per-connection
-  TCP server over the serving engine (admission control, idle reaping,
+  TCP server over the engine server (admission control, idle reaping,
   graceful drain).
 - :mod:`repro.net.client` — :class:`RemoteConnection`, the same
   ``Connection`` surface as the in-process transports, over TCP.

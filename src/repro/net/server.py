@@ -2,8 +2,8 @@
 
 The paper's Section III client/front-end split, made real: clients dial
 a socket, authenticate as a server account, and ship statements that
-the front-end typechecks, compiles to binary IR and executes — every
-property of the in-process serving engine (admission control, the
+the front-end checks and executes — every property of the in-process
+server's statement pipeline (admission control, access rights, the
 reader-writer catalog lock, the plan cache, durability, metrics) now
 holds *across the wire* because requests run through the very same
 :class:`~repro.engine.server.Server`.
@@ -79,11 +79,7 @@ from repro.net.protocol import (
     error_code,
 )
 from repro.obs.trace import Span
-from repro.serve.connection import (
-    DEFAULT_BATCH_ROWS,
-    LocalConnection,
-    TRANSPORT_IR,
-)
+from repro.serve.connection import DEFAULT_BATCH_ROWS, LocalConnection
 from repro.storage.colcodec import encode_columns
 
 #: sessions a server carries at once before refusing with ServerBusy
@@ -100,7 +96,7 @@ class GraqlServer:
     durable store — ``graql serve HOST:PORT --db PATH``).
 
     One thread accepts, one thread per connection serves; all statement
-    execution funnels through the shared serving engine, so the socket
+    execution funnels through the shared server's pipeline, so the socket
     layer adds transport concerns only: framing, auth, streaming,
     deadlines, drain and reaping.
     """
@@ -423,9 +419,9 @@ class _Session:
             fs.send_frame(FT_ERROR, encode_error(e))
             return False
         self.user = user
-        #: the server-side connection this session executes through;
-        #: the IR transport is the paper's front-end pipeline
-        self.conn = LocalConnection(srv.app, user, transport=TRANSPORT_IR)
+        #: the server-side connection this session executes through
+        #: (the server's one statement pipeline)
+        self.conn = LocalConnection(srv.app, user)
         fs.send_frame(
             FT_HELLO_OK,
             {

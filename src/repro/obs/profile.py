@@ -4,9 +4,10 @@ A :class:`QueryProfile` rides on every
 :class:`~repro.query.executor.StatementResult` (unless
 ``QueryOptions(profile=False)``) and carries:
 
-* **per-stage wall time** — substitute / typecheck / plan / execute /
-  materialize on the single node, plus ``compile_ir`` when the statement
-  went through :class:`~repro.engine.server.Server`;
+* **per-stage wall time** — parse / substitute / typecheck / plan /
+  execute / materialize (``cache`` on a plan-cache hit), plus
+  ``compile_ir`` / ``decode_ir`` when the statement was shipped to a
+  cluster backend;
 * **per-step estimated vs. actual cardinality** — the planner's
   frontier-recurrence estimates next to the sizes the executor really
   produced, per atom and step, with both direction costs;

@@ -172,8 +172,7 @@ class PrimaryReplication:
     def _send_snapshot(self, fs: FrameSocket, peer: ReplicaPeer) -> WalTailer:
         """Take a statement-boundary snapshot and ship it; returns a
         tailer positioned just past it."""
-        serving = self.database.server.serving
-        with serving.lock.read_locked():
+        with self.database.server.lock.read_locked():
             snapshot = self.store.replication_snapshot()
         fs.send_frame(FT_REPL_SNAPSHOT, {"snapshot": snapshot})
         peer.snapshots_sent += 1

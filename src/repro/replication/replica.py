@@ -89,7 +89,7 @@ class Replica:
         if self.database.store is None:
             self.database.close()
             raise PromotionError("a replica requires a durable database path")
-        self.database.server.serving.set_read_only(primary_url)
+        self.database.server.set_read_only(primary_url)
         self.metrics = ReplicationMetrics(self.database.metrics)
         self.promoted = False
         #: message of the last subscription failure (health surface)
@@ -174,10 +174,10 @@ class Replica:
         span = Span("replication.promote", {"primary": self.primary_url})
         self.stop()  # the applier finishes its in-flight record first
         store = self.database.store
-        serving = self.database.server.serving
-        with serving.lock.write_locked():
+        server = self.database.server
+        with server.lock.write_locked():
             epoch = store.bump_replication_epoch()
-        serving.set_writable()
+        server.set_writable()
         self.promoted = True
         self.metrics.promoted()
         self.metrics.set_connected(False)
@@ -303,8 +303,8 @@ class Replica:
     # ------------------------------------------------------------------
     def _apply_record(self, record: dict[str, Any]) -> int:
         db = self.database
-        serving = db.server.serving
-        with serving.lock.write_locked():
+        server = db.server
+        with server.lock.write_locked():
             # an ingest touched what its view refresh reports; anything
             # else (DDL, results, accounts) re-derives the whole catalog
             seq, report = db.store.apply_replicated(record)
@@ -313,18 +313,18 @@ class Replica:
                 record_refresh_metrics(db.metrics, report)
             self._sync_users()
             db.store.maybe_checkpoint()
-        serving.cache.invalidate()
+        server.cache.invalidate()
         self.metrics.applied(1, len(str(record)))
         return seq
 
     def _install_snapshot(self, snapshot: dict[str, Any]) -> None:
         db = self.database
-        serving = db.server.serving
-        with serving.lock.write_locked():
+        server = db.server
+        with server.lock.write_locked():
             db.store.install_snapshot(snapshot)
             db.catalog.refresh(db.db)
             self._sync_users()
-        serving.cache.invalidate()
+        server.cache.invalidate()
         self.metrics.snapshot_installed()
 
     def _sync_users(self) -> None:

@@ -8,16 +8,17 @@ safe and fast in-process:
   API.  ``prepare()`` returns a :class:`PreparedStatement` that parses,
   type-checks and IR-encodes a script once and binds parameters per
   execution; cursors stream result rows in batches instead of
-  materializing them eagerly.  :func:`connect` is transport-agnostic:
+  materializing them eagerly.  Every in-process form runs the shared
+  :class:`~repro.engine.server.Server`'s one statement pipeline.  :func:`connect` is transport-agnostic:
   a ``graql://host:port`` URL dials a :class:`~repro.net.GraqlServer`
   over TCP, a filesystem path opens a durable store, and a
   :class:`~repro.engine.session.Database` / engine ``Server`` wraps
   in-process — all returning the same :class:`Connection` ABC.
-* :class:`ServingEngine` — the shared-server concurrency core: a
-  writer-preferring reader-writer catalog lock (selects run in
-  parallel, DDL/ingest serialize), a ``ThreadPoolExecutor`` worker
-  pool, and an admission controller with a bounded queue and per-user
-  in-flight limits (:class:`~repro.errors.ServerBusy` on overload).
+* :class:`RWLock` — the writer-preferring reader-writer catalog lock
+  (selects run in parallel, DDL/ingest serialize), and
+  :class:`AdmissionController` — a bounded queue with per-user
+  in-flight limits (:class:`~repro.errors.ServerBusy` on overload);
+  the server owns one of each, plus a ``ThreadPoolExecutor`` pool.
 * :class:`PlanCache` — statement cache keyed on (canonical script,
   parameter signature, catalog epoch); DDL/ingest bump the epoch, so
   stale plans can never execute.
@@ -35,7 +36,7 @@ from repro.serve.connection import (
     PreparedStatement,
     connect,
 )
-from repro.serve.engine import ServingEngine, statement_is_write
+from repro.serve.engine import statement_is_write
 from repro.serve.locks import RWLock
 
 __all__ = [
@@ -47,7 +48,6 @@ __all__ = [
     "PreparedStatement",
     "BasePreparedStatement",
     "DEFAULT_BATCH_ROWS",
-    "ServingEngine",
     "AdmissionController",
     "PlanCache",
     "RWLock",

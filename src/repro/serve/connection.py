@@ -21,49 +21,37 @@ Every form returns the same :class:`Connection` ABC; cursors, prepared
 statements and :class:`~repro.storage.table.Row` behave identically —
 the only observable difference is where the statements execute.
 
-In-process, two transports exist:
-
-* ``"ir"`` (the default for servers) — the paper's front-end pipeline:
-  access control, static analysis, binary IR shipped to the backend,
-  ``compile_ir``/``decode_ir`` stages in every profile.
-* ``"local"`` — the in-process fast path used by
-  :class:`~repro.engine.session.Database`: parse + per-statement
-  typecheck/execute, no IR round-trip.
-
-Both run through the shared :class:`~repro.serve.engine.ServingEngine`
-(admission control, reader-writer catalog lock, plan cache).  The
-network transport (:class:`repro.net.RemoteConnection`) ships the same
-requests over a checksummed binary wire protocol to a
-:class:`repro.net.GraqlServer`, which runs them through the identical
-engine on the other side of the socket.
+In-process, every execution runs the server's one statement pipeline
+(:class:`~repro.engine.server.Server`: admission control, reader-writer
+catalog lock, plan cache, access rights, whole-script static check).
+The ``transport=`` argument (``"ir"`` or ``"local"``) is accepted for
+compatibility and selects nothing; binary IR is shipped only when the
+server's backend is the cluster.  The network transport
+(:class:`repro.net.RemoteConnection`) ships the same requests over a
+checksummed binary wire protocol to a :class:`repro.net.GraqlServer`,
+which runs them through the identical pipeline on the other side of the
+socket.
 """
 
 from __future__ import annotations
 
 import abc
-import time
 from typing import Any, Callable, Iterator, Mapping, Optional
 
 from repro.errors import ClosedError, TypeCheckError
-from repro.graql.ast import Script
-from repro.graql.ir import decode_statement, encode_statement
-from repro.graql.params import substitute_statement, unbound_params
+from repro.graql.ir import encode_statement
+from repro.graql.params import unbound_params
 from repro.graql.parser import parse_script
-from repro.graql.typecheck import check_statement
-from repro.obs.options import QueryOptions
-from repro.obs.profile import record_profile_metrics
-from repro.query.executor import (
-    StatementKind,
-    StatementResult,
-    execute_checked,
-    execute_statement,
-)
+from repro.graql.typecheck import check_script
+from repro.obs.options import QueryOptions, resolve_options
+from repro.query.executor import StatementKind, StatementResult
 from repro.serve.engine import script_is_write
 from repro.storage.expr import deferred_params
 from repro.storage.table import Row, Table
 
-TRANSPORT_IR = "ir"
-TRANSPORT_LOCAL = "local"
+#: the in-process ``transport=`` values, kept for compatibility: both
+#: run the server's one statement pipeline
+TRANSPORTS = ("ir", "local")
 
 #: the one batch-size constant the whole driver shares: the default
 #: ``Cursor.arraysize`` (``fetchmany`` size and local row-production
@@ -95,10 +83,9 @@ def connect(target: Any = None, user: str = "admin", *,
     * ``connect(server)`` — a new connection onto a shared
       :class:`~repro.engine.server.Server` (the historical form).
 
-    ``transport`` selects the in-process pipeline (``"ir"`` runs the
-    paper's front-end IR round-trip, ``"local"`` skips it); the default
-    is ``"ir"`` for servers and ``"local"`` for databases.  It is
-    ignored for TCP targets — the wire *is* the transport.
+    ``transport`` (``"ir"`` or ``"local"``) is kept for compatibility:
+    every in-process connection runs the same pipeline, and an unknown
+    value raises ``ValueError``.  It is ignored for TCP targets.
     """
     if isinstance(target, str):
         if target.startswith(URL_SCHEME):
@@ -108,9 +95,7 @@ def connect(target: Any = None, user: str = "admin", *,
         from repro.engine.session import Database
 
         db = Database.open(target, **kwargs)
-        return LocalConnection(
-            db.server, user, transport=transport or TRANSPORT_LOCAL, owned_db=db
-        )
+        return LocalConnection(db.server, user, transport, owned_db=db)
     if kwargs:
         raise TypeError(
             f"unexpected keyword arguments for an in-process connection: "
@@ -119,15 +104,13 @@ def connect(target: Any = None, user: str = "admin", *,
     from repro.engine.session import Database
 
     if isinstance(target, Database):
-        return LocalConnection(
-            target.server, user, transport=transport or TRANSPORT_LOCAL
-        )
+        target = target.server
     if target is None:
         raise TypeError(
             "connect() needs a target: a graql:// URL, a database path, "
             "a Database, or a Server"
         )
-    return LocalConnection(target, user, transport=transport or TRANSPORT_IR)
+    return LocalConnection(target, user, transport)
 
 
 class CursorExec:
@@ -259,32 +242,28 @@ class Connection(abc.ABC):
 
 
 class LocalConnection(Connection):
-    """An in-process handle on a shared server."""
+    """An in-process handle on a shared server: every execution runs the
+    server's statement pipeline (``transport`` selects nothing)."""
 
     def __init__(
         self,
         server,
         user: str,
-        transport: str = TRANSPORT_IR,
+        transport: Optional[str] = "ir",
         *,
         owned_db=None,
     ) -> None:
-        if transport not in (TRANSPORT_IR, TRANSPORT_LOCAL):
+        if transport is not None and transport not in TRANSPORTS:
             raise ValueError(f"unknown transport {transport!r}")
         # surface unknown users at connect time, not first query
         server._require(user, "reader")
         super().__init__(user)
         self.server = server
-        self.transport = transport
         #: a Database this connection opened (connect(path)) and must
-        #: close — None when the engine is shared with other owners
+        #: close — None when the server is shared with other owners
         self._owned_db = owned_db
 
     # ------------------------------------------------------------------
-    @property
-    def engine(self):
-        return self.server.serving
-
     @property
     def catalog(self):
         return self.server.catalog
@@ -300,16 +279,13 @@ class LocalConnection(Connection):
         timeout_s: Optional[float] = None,
     ) -> list[StatementResult]:
         self._check_open()
-        if self.transport == TRANSPORT_IR:
-            return self.server.submit(
-                self.user, source, params, timeout_s=timeout_s, options=options
-            )
-        return self.engine.run(
-            self.user, source, params, options, self._local_runner(params)
+        return self.server.submit(
+            self.user, source, params, timeout_s=timeout_s, options=options
         )
 
     def prepare(self, source: str) -> "PreparedStatement":
-        """Parse, access-check, typecheck and IR-encode *source* once.
+        """Parse, access-check, statically check and IR-encode *source*
+        once.
 
         Unbound ``%Param%`` placeholders are allowed (they typecheck as
         the deferred wildcard type); each :meth:`PreparedStatement.execute`
@@ -319,49 +295,13 @@ class LocalConnection(Connection):
         return PreparedStatement(self, source)
 
     # ------------------------------------------------------------------
-    # Local transport
-    # ------------------------------------------------------------------
-    def _local_runner(self, params: Optional[Mapping[str, Any]]):
-        server = self.server
-
-        def run(script: Script, opts: QueryOptions, parse_ms: float) -> tuple:
-            results: list[StatementResult] = []
-            resolutions: list = []
-            for i, stmt in enumerate(script.statements):
-                sub = stmt
-                sub_ms = chk_ms = None
-                if params:
-                    t0 = time.perf_counter()
-                    sub = substitute_statement(stmt, params)
-                    sub_ms = (time.perf_counter() - t0) * 1000.0
-                t0 = time.perf_counter()
-                checked = check_statement(sub, server.catalog)
-                chk_ms = (time.perf_counter() - t0) * 1000.0
-                r = execute_checked(server.backend, server.catalog, checked, opts)
-                if r.profile is not None:
-                    # reproduce execute_statement's stage order:
-                    # [parse] [substitute] typecheck plan execute ...
-                    r.profile.stages.insert(0, ("typecheck", chk_ms))
-                    if sub_ms is not None:
-                        r.profile.stages.insert(0, ("substitute", sub_ms))
-                    if i == 0:
-                        # script-level parse belongs to the first statement
-                        r.profile.stages.insert(0, ("parse", parse_ms))
-                    record_profile_metrics(server.metrics, r.profile)
-                resolutions.append(checked)
-                results.append(r)
-            return results, resolutions
-
-        return run
-
-    # ------------------------------------------------------------------
     def _do_close(self) -> None:
         if self._owned_db is not None:
             self._owned_db.close()
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
-        return f"LocalConnection(user={self.user!r}, transport={self.transport}, {state})"
+        return f"LocalConnection(user={self.user!r}, {state})"
 
 
 class BasePreparedStatement(abc.ABC):
@@ -417,12 +357,13 @@ class BasePreparedStatement(abc.ABC):
 
 
 class PreparedStatement(BasePreparedStatement):
-    """A script parsed, access-checked, typechecked and IR-encoded once.
+    """A script parsed, access-checked, statically checked and
+    IR-encoded once.
 
-    Execution binds a parameter mapping, substitutes it into the decoded
-    statements and runs them — the per-execution cost is substitution +
-    the concrete typecheck the executor performs with values in hand
-    (which is what validates the binding's types).
+    Execution binds a parameter mapping and runs the server's statement
+    pipeline from substitution on — no parse and no plan cache; the
+    whole-script check with values in hand is what validates the
+    binding's types.
     """
 
     def __init__(self, connection: LocalConnection, source: str) -> None:
@@ -439,12 +380,11 @@ class PreparedStatement(BasePreparedStatement):
 
         def check() -> int:
             with deferred_params():
-                for stmt in self.script.statements:
-                    check_statement(stmt, server.catalog)
+                check_script(self.script, server.catalog)
             return server.catalog.epoch
 
         #: catalog epoch the static checks ran against
-        self.epoch = connection.engine.run_work(connection.user, False, check)
+        self.epoch = server.run_work(connection.user, False, check)
         #: binary IR per statement (Param nodes encode as-is)
         self.ir: tuple = tuple(
             encode_statement(s) for s in self.script.statements
@@ -461,22 +401,13 @@ class PreparedStatement(BasePreparedStatement):
     ) -> list[StatementResult]:
         self.connection._check_open()
         self._require_params(params)
-        conn = self.connection
-        server = conn.server
-
-        def work() -> list[StatementResult]:
-            results = []
-            for ir in self.ir:
-                stmt = decode_statement(ir)
-                r = execute_statement(
-                    server.backend, server.catalog, stmt, params, options
-                )
-                if r.profile is not None:
-                    record_profile_metrics(server.metrics, r.profile)
-                results.append(r)
-            return results
-
-        return conn.engine.run_work(conn.user, self.is_write, work)
+        user, server = self.connection.user, self.connection.server
+        opts = resolve_options(options)
+        return server.run_work(
+            user,
+            self.is_write,
+            lambda: server._execute(user, self.script, params, opts, opts.timeout)[0],
+        )
 
     def __repr__(self) -> str:
         return (
@@ -533,11 +464,6 @@ class Cursor:
         self._batches = ex.batches
         self._buffer = []
         self._pos = 0
-
-    def _install(self, results: list[StatementResult]) -> None:
-        """Point the cursor at already-materialized results (the
-        in-process prepared-statement path and tests use this)."""
-        self._adopt(CursorExec.from_results(results, self.arraysize))
 
     # ------------------------------------------------------------------
     # Result-set metadata

@@ -168,26 +168,22 @@ class TestSemanticChecks:
 
 
 class TestServerIntegration:
-    def _server(self) -> Server:
-        s = Server()
+    def _server(self, workers=None) -> Server:
+        s = Server(workers=workers)
         s.submit("admin", SOCIAL_DDL)
         return s
 
-    def test_submit_rejects_corrupted_ir(self):
-        s = self._server()
-        program = s.compile(
-            "admin",
-            "select * from graph Person ( ) --follows--> Person ( ) "
-            "into subgraph G",
-        )
-        cs = program.statements[0]
-        raw = bytearray(cs.ir)
-        raw[5] = 0x7F  # clobber the statement tag
-        cs.ir = bytes(raw)
-        s.compile = lambda *a, **k: program  # type: ignore[method-assign]
+    def test_submit_rejects_corrupted_ir(self, monkeypatch):
+        # binary IR is shipped to the backend cluster only
+        s = self._server(workers=2)
+
+        def corrupted(stmt):
+            raw = bytearray(encode_statement(stmt))
+            raw[5] = 0x7F  # clobber the statement tag
+            return bytes(raw)
+
+        monkeypatch.setattr("repro.engine.server.encode_statement", corrupted)
         shipped_before = s.ir_bytes_shipped
-        # the serving engine parses the source to classify read vs write,
-        # so the (ignored) stand-in script must still be valid GraQL
         with pytest.raises(IRError, match="statement tag"):
             s.submit(
                 "admin",

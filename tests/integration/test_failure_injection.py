@@ -55,15 +55,28 @@ class TestStaticErrorsLeaveNoState:
             )
         assert not social_db.catalog.is_table("ShouldNotExist")
 
-    def test_mid_script_failure_keeps_earlier_results(self, social_db):
+    def test_mid_script_failure_keeps_earlier_results(self, tmp_path, social_db):
         # statements execute in order; the first lands, the second fails
+        # at run time (a static error would reject the whole script
+        # before the first statement runs)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("p8,short\n")
+        with pytest.raises(GraQLError):
+            social_db.execute(
+                "select y.id from graph Person ( ) --follows--> def y: "
+                "Person ( ) into table Ok1\n"
+                f"ingest table People '{bad}'"
+            )
+        assert social_db.catalog.is_table("Ok1")
+
+    def test_static_failure_keeps_no_earlier_results(self, social_db):
         with pytest.raises(GraQLError):
             social_db.execute(
                 "select y.id from graph Person ( ) --follows--> def y: "
                 "Person ( ) into table Ok1\n"
                 "select * from table MissingTable"
             )
-        assert social_db.catalog.is_table("Ok1")
+        assert not social_db.catalog.is_table("Ok1")
 
 
 class TestRuntimeGuards:

@@ -375,7 +375,7 @@ class TestServerRobustness:
 
     def test_admission_overload_crosses_as_server_busy(self, net):
         srv = net()
-        admission = srv.app.serving.admission
+        admission = srv.app.admission
         admission.max_in_flight = 1
         ticket = admission.admit("hog")
         try:

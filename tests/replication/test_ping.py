@@ -62,7 +62,7 @@ def test_ping_reports_replica_lag_accounting(pair):
 
 def test_ping_answers_while_the_engine_is_saturated(srv):
     """The whole point of a health frame: it bypasses admission."""
-    admission = srv.app.serving.admission
+    admission = srv.app.admission
     admission.max_in_flight = 1
     ticket = admission.admit("hog")  # every statement now queues
     try:

@@ -123,9 +123,9 @@ class TestIndexDdlInvalidation:
 
         db = build_social_db()
         db.execute(self.Q)
-        assert len(db.server.serving.cache) == 1
+        assert len(db.server.cache) == 1
         db.execute("create index by_country on Person(country)")
-        assert len(db.server.serving.cache) == 0
+        assert len(db.server.cache) == 0
         r = db.execute(self.Q)[0]
         assert r.profile.cache_hit is False
         # the new index is visible to the post-invalidation plan
@@ -141,9 +141,9 @@ class TestIndexDdlInvalidation:
         db = build_social_db()
         db.execute("create index by_country on Person(country)")
         db.execute(self.Q)
-        assert len(db.server.serving.cache) == 1
+        assert len(db.server.cache) == 1
         db.execute("drop index by_country")
-        assert len(db.server.serving.cache) == 0
+        assert len(db.server.cache) == 0
         r = db.execute(self.Q)[0]
         assert r.profile.cache_hit is False
         assert r.profile.atoms[0].access == "scan"

@@ -261,9 +261,9 @@ class TestPlanCache:
     def test_ddl_invalidates(self):
         db = build_social_db()
         db.execute(PEOPLE_Q)
-        assert len(db.server.serving.cache) == 1
+        assert len(db.server.cache) == 1
         db.execute("create table Bump(i integer)")
-        assert len(db.server.serving.cache) == 0
+        assert len(db.server.cache) == 0
         r = db.execute(PEOPLE_Q)[0]
         assert r.profile.cache_hit is False
 
@@ -278,7 +278,7 @@ class TestPlanCache:
     def test_writes_are_never_cached(self):
         db = build_social_db()
         db.execute(GRAPH_Q)
-        assert len(db.server.serving.cache) == 0
+        assert len(db.server.cache) == 0
 
     def test_explain_analyze_shows_cache_hit(self):
         db = build_social_db()
@@ -299,11 +299,11 @@ class TestServerConcurrencyControls:
     def test_server_busy_on_saturated_admission(self):
         s = _social_server()
         # one slot total: a held ticket makes the next submit bounce
-        s.serving.admission.max_in_flight = 1
-        ticket = s.serving.admission.admit("x")
+        s.admission.max_in_flight = 1
+        ticket = s.admission.admit("x")
         with pytest.raises(ServerBusy):
             s.submit("admin", PEOPLE_Q)
-        s.serving.admission.release(ticket)
+        s.admission.release(ticket)
         assert s.submit("admin", PEOPLE_Q)[0].table.num_rows == 3
 
     def test_submit_async_returns_future(self):
@@ -311,7 +311,7 @@ class TestServerConcurrencyControls:
         fut = s.submit_async("admin", PEOPLE_Q)
         results = fut.result(timeout=30)
         assert results[0].table.num_rows == 3
-        s.serving.close()
+        s.close()
 
     def test_cache_hit_cannot_bypass_access_control(self):
         s = _social_server()
@@ -322,10 +322,10 @@ class TestServerConcurrencyControls:
     def test_serving_opts_are_plumbed(self):
         s = Server(serving_opts={"max_workers": 2, "max_queue": 3,
                                  "per_user_limit": 2, "cache_capacity": 7})
-        assert s.serving.max_workers == 2
-        assert s.serving.admission.max_in_flight == 5
-        assert s.serving.admission.per_user_limit == 2
-        assert s.serving.cache.capacity == 7
+        assert s.max_workers == 2
+        assert s.admission.max_in_flight == 5
+        assert s.admission.per_user_limit == 2
+        assert s.cache.capacity == 7
 
 
 class TestStatementKind:

@@ -1,4 +1,4 @@
-"""Regression tests for the ServingEngine close path.
+"""Regression tests for the Server close path (admission, worker pool).
 
 Both behaviors here were found by ``graql devcheck`` against the
 engine's own source:
@@ -20,13 +20,12 @@ import time
 
 import pytest
 
+from repro.engine.server import Server
 from repro.errors import ClosedError
-from repro.obs.metrics import MetricsRegistry
-from repro.serve.engine import ServingEngine
 
 
-def make_engine(**kw) -> ServingEngine:
-    return ServingEngine(None, None, MetricsRegistry(), **kw)
+def make_engine(**kw) -> Server:
+    return Server(serving_opts=kw)
 
 
 class TestPoolGuard:

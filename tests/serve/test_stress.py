@@ -71,7 +71,7 @@ def test_mixed_select_ddl_ingest_stress():
                 assert n >= last_count, f"count went backwards: {n} < {last_count}"
                 last_count = n
                 # torn-read check through the scratch-copy path
-                with db.server.serving.lock.read_locked():
+                with db.server.lock.read_locked():
                     cat = db.catalog.scratch_copy()
                 for w in range(WRITERS):
                     for i in range(WRITER_ITERS):
@@ -114,7 +114,7 @@ def test_concurrent_async_submissions_through_pool():
     futures = [db.server.submit_async("admin", PEOPLE_Q) for _ in range(16)]
     results = [f.result(timeout=60) for f in futures]
     assert [r[0].table.num_rows for r in results] == [3] * 16
-    db.server.serving.close()
+    db.server.close()
 
 
 def test_submit_work_runs_callback_under_read_lock():
@@ -123,9 +123,9 @@ def test_submit_work_runs_callback_under_read_lock():
     acquisition rather than risking a self-deadlock under writer
     preference).  A callback that reads shared state directly works."""
     db = _build_db()
-    serving = db.server.serving
+    server = db.server
     futures = [
-        serving.submit_work(
+        server.submit_work(
             "admin", False, lambda: "People" in db.catalog.tables
         )
         for _ in range(8)
@@ -133,14 +133,14 @@ def test_submit_work_runs_callback_under_read_lock():
     assert [f.result(timeout=60) for f in futures] == [True] * 8
     # a callback that re-enters the engine is rejected loudly instead
     # of deadlocking
-    bad = serving.submit_work("admin", False, lambda: db.query(PEOPLE_Q))
+    bad = server.submit_work("admin", False, lambda: db.query(PEOPLE_Q))
     try:
         bad.result(timeout=60)
     except RuntimeError as e:
         assert "reentrant" in str(e)
     else:  # pragma: no cover
         raise AssertionError("nested engine re-entry was not rejected")
-    serving.close()
+    server.close()
 
 
 def test_scratch_copy_while_writer_is_waiting():
@@ -148,7 +148,7 @@ def test_scratch_copy_while_writer_is_waiting():
     consistent catalog even while a writer thread is blocked waiting for
     the write lock (the ``graql check --jobs`` scenario)."""
     db = _build_db()
-    lock = db.server.serving.lock
+    lock = db.server.lock
     writer_done = threading.Event()
 
     with lock.read_locked():
