@@ -44,7 +44,12 @@ STATS_STALENESS_FRAC = 0.2
 
 
 class DegreeStats:
-    """Degree-distribution summary of one edge type w.r.t. its endpoints."""
+    """Degree-distribution summary of one edge type w.r.t. its endpoints.
+
+    Defined over the out- and in-degree arrays; :meth:`of_indexes` gives
+    the same figures from the totals a CSR index keeps, without reading
+    a degree.
+    """
 
     def __init__(self, out_degrees: np.ndarray, in_degrees: np.ndarray) -> None:
         self.avg_out = float(out_degrees.mean()) if len(out_degrees) else 0.0
@@ -58,6 +63,18 @@ class DegreeStats:
             float((in_degrees > 0).mean()) if len(in_degrees) else 0.0
         )
 
+    @classmethod
+    def of_indexes(cls, forward, reverse) -> "DegreeStats":
+        """The stats of the edges in two
+        :class:`~repro.graph.edge_index.EdgeIndex` directions, from their
+        ``num_edges``, ``num_sources``, ``max_degree`` and
+        ``nonempty_sources`` (a mean over integer degrees is their sum
+        over their count, so the figures equal the array-based ones)."""
+        stats = cls.__new__(cls)
+        stats.avg_out, stats.max_out, stats.frac_out_nonzero = _summary(forward)
+        stats.avg_in, stats.max_in, stats.frac_in_nonzero = _summary(reverse)
+        return stats
+
     def expansion_factor(self, outgoing: bool) -> float:
         """Expected frontier growth when traversing this edge type."""
         return self.avg_out if outgoing else self.avg_in
@@ -67,6 +84,13 @@ class DegreeStats:
             f"DegreeStats(out: avg={self.avg_out:.2f} max={self.max_out}, "
             f"in: avg={self.avg_in:.2f} max={self.max_in})"
         )
+
+
+def _summary(index) -> tuple[float, int, float]:
+    n = index.num_sources
+    if n == 0:
+        return 0.0, 0, 0.0
+    return index.num_edges / n, index.max_degree, index.nonempty_sources / n
 
 
 class ColumnStats:

@@ -287,7 +287,7 @@ class Database:
     def _ingest(self, ingest) -> int:
         def work() -> int:
             n, report = ingest()
-            self.catalog.refresh(self.db, report)
+            self.catalog.absorb(self.db, report)
             record_refresh_metrics(self.metrics, report)
             return n
 

@@ -3,12 +3,15 @@
 Vertex and edge types are select-project-join views over append-only
 tables, hence *monotone*: the view over ``T ∪ ΔT`` is the old view plus
 a term driven by ``ΔT`` alone.  A refresh therefore never rebuilds; it
-computes a delta object holding the complete **new** arrays (built by
-concatenation or ``np.insert``, never by resizing the old ones) and the
-view publishes them by plain attribute assignment once every dependent
+computes a delta object holding the complete **new** arrays (each one
+copy of the old array with the new entries merged in by
+:func:`~repro.storage.indexes.sorted_insert` — a concatenation when they
+all go at the end — never a resize of the old one) and the view
+publishes them by plain attribute assignment once every dependent
 structure of the same round has computed its own.  Anything that still
 holds the previous arrays — a streaming cursor, a ``repro.dist``
-partition — keeps a consistent snapshot.
+partition — keeps a consistent snapshot.  Besides those copies, a
+refresh costs O(batch · log |E|).
 """
 
 from __future__ import annotations

@@ -53,7 +53,7 @@ from repro.storage.expr import (
     conjuncts,
     evaluate_predicate,
 )
-from repro.storage.indexes import lex_search
+from repro.storage.indexes import lex_search, sorted_insert
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 
@@ -89,18 +89,21 @@ class _Role:
         """Equi-join the value tuples (one column per name) against
         columns *names*: aligned ``(index into values, position here)``
         for every match.  NULLs never match."""
-        null = np.zeros(len(values[0]), dtype=bool)
-        for v in values:
-            null |= v.null_mask()
-        valid = np.flatnonzero(~null)
-        rows, at = self.table.lookup_index(names).lookup_many(
-            [v.sort_key()[valid] for v in values]
-        )
-        at = valid[at]
-        if self.view is None:
+        keys = [v.sort_key() for v in values]
+        null = values[0].null_mask()
+        for v in values[1:]:
+            null = null | v.null_mask()
+        valid = np.flatnonzero(~null) if null.any() else None
+        if valid is not None:
+            keys = [k[valid] for k in keys]
+        rows, at = self.table.lookup_index(names).lookup_many(keys)
+        if valid is not None:
+            at = valid[at]
+        selected = None if self.view is None else self.view.rows
+        if selected is None or len(selected) == self.table.num_rows:
+            # no view, or one selecting every row: positions are rows
             return at, rows
         # table rows -> positions among the view's selected rows
-        selected = self.view.rows
         pos = np.minimum(np.searchsorted(selected, rows), len(selected) - 1)
         hit = selected[pos] == rows if len(selected) else np.zeros(len(rows), dtype=bool)
         return at[hit], pos[hit]
@@ -165,7 +168,8 @@ class EdgeType:
                 )
             self._tables[t.name] = t
         #: the where clause's conjuncts, each with the relations it reads
-        self._conjuncts: list[tuple[Expr, frozenset[str]]] = []
+        #: and, for an equality of two relations' columns, those columns
+        self._conjuncts: list[tuple[Expr, frozenset[str], Optional[tuple]]] = []
         lookup = table_lookup or (lambda _n: None)
         for cj in conjuncts(where):
             refs = col_refs(cj)
@@ -184,7 +188,9 @@ class EdgeType:
                             f"where clause"
                         )
                     self._tables[q] = t
-            self._conjuncts.append((cj, frozenset(r.qualifier for r in refs)))
+            self._conjuncts.append(
+                (cj, frozenset(r.qualifier for r in refs), _as_join_predicate(cj))
+            )
         self.src_vids: np.ndarray = NO_IDS
         self.tgt_vids: np.ndarray = NO_IDS
         self.assoc_rows: Optional[np.ndarray] = (
@@ -248,12 +254,19 @@ class EdgeType:
                     work[self.assoc_table.name] if self.assoc_table is not None else None,
                 )
             )
-        found = _sorted_unique([np.concatenate(c) for c in zip(*terms)])
+        found = _sorted_unique(
+            terms[0] if len(terms) == 1 else [np.concatenate(c) for c in zip(*terms)]
+        )
         old = _order_cols(self.src_vids, self.tgt_vids, self.assoc_rows)
-        lo, hi = lex_search(old, found)
-        new = lo == hi
-        at = lo[new]  # insertion points in the old arrays, ascending
-        *rows, src, tgt = [np.insert(o, at, f[new]) for o, f in zip(old, found)]
+        if len(found[0]) and self.num_edges and found[0][0] <= old[0][-1]:
+            lo, hi = lex_search(old, found)
+            new = lo == hi
+            found = [f[new] for f in found]
+            at = lo[new]  # insertion points in the old arrays, ascending
+        else:
+            # every edge found sorts after the old ones: an append
+            at = np.full(len(found[0]), self.num_edges)
+        *rows, src, tgt = sorted_insert(old, at, found)
         inserted = at + np.arange(len(at))
         renumber = None
         if len(at) and at[0] < self.num_edges:
@@ -307,7 +320,7 @@ class EdgeType:
             # equality conjuncts connecting the joined set to one relation
             links: dict[str, list] = {}
             for item in todo:
-                pair = _as_join_predicate(item[0])
+                pair = item[2]
                 if pair is None:
                     continue
                 for a, b in (pair, pair[::-1]):
@@ -450,8 +463,11 @@ def _sorted_unique(cols: list[np.ndarray]) -> list[np.ndarray]:
     """Distinct column tuples in lexicographic order (first column major)."""
     order = np.lexsort(tuple(reversed(cols)))
     cols = [c[order] for c in cols]
-    if len(order) == 0:
+    # dup[i]: row i + 1 repeats row i
+    dup = cols[0][1:] == cols[0][:-1]
+    for c in cols[1:]:
+        dup &= c[1:] == c[:-1]
+    if not dup.any():
         return cols
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = np.logical_or.reduce([c[1:] != c[:-1] for c in cols])
+    first = np.concatenate([[True], ~dup])
     return [c[first] for c in cols]

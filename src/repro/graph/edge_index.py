@@ -12,12 +12,17 @@ no per-vertex Python loops — which is what makes the set-frontier query
 strategy fast and what the distributed backend shards per worker.
 
 The indexes are delta-maintained: an :class:`EdgeIndex` is immutable, and
-a refresh builds the next one from the previous plus the new edges — each
-lands in its source's run by eid (a per-run binary search), old eids are
-renumbered when edges were inserted before them — instead of re-sorting
-all edges.  Runs are ordered by eid and eids follow the canonical edge
+a refresh builds the next one from the previous plus the new edges
+instead of re-sorting all edges.  Each new edge lands at the end of its
+source's run when every new eid exceeds the old ones (an append), else
+where a binary search of the run by eid puts it, old eids renumbered
+when edges were inserted before them; the offsets move up by a
+run-length expansion over the sorted new sources, and the max degree
+and the count of non-empty sources are updated from the sources the
+batch touched.  So a merge costs O(batch · log |E|) plus one copy of
+each array.  Runs are ordered by eid and eids follow the canonical edge
 order, so the arrays equal those of a one-shot build over the final
-tables.
+tables — the one-shot build being the same merge into an empty index.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from repro.storage import idsets
-from repro.storage.indexes import bisect_ranges
+from repro.storage.indexes import bisect_ranges, sorted_insert
 
 
 class EdgeIndex:
@@ -45,33 +50,54 @@ class EdgeIndex:
         """Index the given edges (*eids* ascending; default ``0..m-1``),
         merged into the entries of *base* when given.
 
+        *base* holds eids ``0..base.num_edges-1``; *renumber* maps them
+        to their new values first, and *base* itself is left untouched.
         Each source's run is ordered by eid, so a new entry goes where a
-        per-run binary search puts it — new eids past all old ones land
-        at the ends of their runs — and the result is the arrays a
-        stable sort of all edges would give.  *renumber* maps *base*'s
-        eids to their new values first; *base* itself is left untouched.
+        binary search of its run puts it — at the run's end when every
+        new eid exceeds the old ones, the append case, which needs no
+        search — and the result is the arrays a stable sort of all edges
+        would give.  Without *base* the index is that merge into an
+        empty one: the one-shot build.
         """
         if eids is None:
             eids = np.arange(len(from_vids), dtype=np.int64)
         order = np.argsort(from_vids, kind="stable")
-        from_vids, to_vids, eids = from_vids[order], to_vids[order], eids[order]
+        src, to_vids, eids = from_vids[order], to_vids[order], eids[order]
         self.num_sources = int(num_sources)
-        counts = np.bincount(from_vids, minlength=self.num_sources)
         if base is None:
-            self.neighbors = to_vids
-            self.eids = eids
-            self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-            return
-        old_eids = base.eids if renumber is None else renumber[base.eids]
-        # sources past the old count have empty runs at the end
-        indptr = np.concatenate(
-            [base.indptr, np.full(self.num_sources - base.num_sources, base.indptr[-1])]
+            old_indptr, old_neighbors, old_eids = np.zeros(1, np.int64), to_vids[:0], eids[:0]
+            old_max = old_nonempty = 0
+        else:
+            old_indptr, old_neighbors = base.indptr, base.neighbors
+            old_eids = base.eids if renumber is None else renumber[base.eids]
+            old_max, old_nonempty = base.max_degree, base.nonempty_sources
+        # each new edge's source run in the old arrays; sources past the
+        # old count have empty runs at the end
+        last = len(old_indptr) - 1
+        starts = old_indptr[np.minimum(src, last)]
+        ends = old_indptr[np.minimum(src + 1, last)]
+        if len(eids) and eids.min() < len(old_eids):
+            at = bisect_ranges(old_eids, starts, ends, eids)
+        else:
+            at = ends
+        self.neighbors, self.eids = sorted_insert(
+            [old_neighbors, old_eids], at, [to_vids, eids]
         )
-        at = bisect_ranges(old_eids, indptr[from_vids], indptr[from_vids + 1], eids)
-        self.neighbors = np.insert(base.neighbors, at, to_vids)
-        self.eids = np.insert(old_eids, at, eids)
-        indptr[1:] += np.cumsum(counts)
+        # offset v moves up by the number of new edges from sources < v:
+        # a step function of v, run-length expanded from the sorted sources
+        steps = np.concatenate([[-1], src, [self.num_sources]])
+        indptr = np.repeat(np.arange(len(src) + 1, dtype=np.int64), steps[1:] - steps[:-1])
+        indptr[: last + 1] += old_indptr
+        indptr[last + 1 :] += old_indptr[-1]
         self.indptr = indptr
+        # degree totals, updated from the sources this merge touched
+        #: the largest out-degree
+        self.max_degree: int = old_max
+        if len(src):
+            self.max_degree = max(old_max, int((indptr[src + 1] - indptr[src]).max()))
+        fresh = (steps[1:-1] != steps[:-2]) & (starts == ends)
+        #: the number of sources with at least one edge
+        self.nonempty_sources: int = old_nonempty + int(np.count_nonzero(fresh))
 
     @property
     def num_edges(self) -> int:

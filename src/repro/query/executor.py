@@ -303,7 +303,7 @@ def _execute_resolved(
     if isinstance(stmt, Ingest):
         with _stage("execute", profile, tracer):
             n, report = db.ingest(stmt.table, stmt.path)
-            catalog.refresh(db, report)
+            catalog.absorb(db, report)
         if profile is not None:
             profile.refresh = report
         return StatementResult(

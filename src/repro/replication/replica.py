@@ -308,7 +308,7 @@ class Replica:
             # an ingest touched what its view refresh reports; anything
             # else (DDL, results, accounts) re-derives the whole catalog
             seq, report = db.store.apply_replicated(record)
-            db.catalog.refresh(db.db, report)
+            db.catalog.absorb(db.db, report)
             if report is not None:
                 record_refresh_metrics(db.metrics, report)
             self._sync_users()

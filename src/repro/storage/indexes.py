@@ -17,6 +17,10 @@ Three index kinds back the graph layer:
   ``create index`` DDL.  Equality seeks narrow column by column through
   the lexsorted order; range seeks apply to the column following the
   equality prefix — the classic composite B-tree contract.
+
+:func:`sorted_insert` is the sorted merge all of them (and the edge views
+and CSR indexes of :mod:`repro.graph`) grow by: one copy of each array,
+new entries scattered into it.
 """
 
 from __future__ import annotations
@@ -107,6 +111,46 @@ def bisect_ranges(
         hi[todo[~below]] = mid[~below]
 
 
+def sorted_insert(
+    bases: Sequence[np.ndarray], at: np.ndarray, values: Sequence[np.ndarray]
+) -> list[np.ndarray]:
+    """``[np.insert(b, at, v) for b, v in zip(bases, values)]`` for
+    equally long *bases* and ascending insertion points *at*.
+
+    ``v[j]`` goes before ``b[at[j]]`` (``at[j] == len(b)``: at the end),
+    equal points keeping the order of *v*.  Each result is a new array of
+    its base's dtype, written in one pass: the values by one scatter, the
+    base as the ``len(at) + 1`` contiguous segments between the
+    insertion points — no ``len(b)``-long mask — and, when every point
+    is at the end, as a plain concatenation.  No argument is modified.
+    """
+    n, m = len(bases[0]), len(at)
+    outs = [np.empty(n + m, dtype=b.dtype) for b in bases]
+    if m == 0 or at[0] == n:
+        for out, b, v in zip(outs, bases, values):
+            out[:n] = b
+            out[n:] = v
+        return outs
+    slots = at + np.arange(m)
+    for out, v in zip(outs, values):
+        out[slots] = v
+    # numeric segments go as raw bytes through memoryviews (half the
+    # cost per call of an ndarray slice assignment), anything else —
+    # object arrays expose no buffer — as ndarray slices
+    targets = [
+        (memoryview(out).cast("B"), memoryview(np.ascontiguousarray(b)).cast("B"), b.itemsize)
+        if b.dtype.kind in "biuf" else (out, b, 1)
+        for out, b in zip(outs, bases)
+    ]
+    done = 0
+    for j, a in enumerate([*at.tolist(), n]):
+        if a > done:
+            for dst, src, w in targets:
+                dst[(done + j) * w : (a + j) * w] = src[done * w : a * w]
+            done = a
+    return outs
+
+
 def lex_search(
     sorted_cols: Sequence[np.ndarray], queries: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -161,9 +205,11 @@ class SortedIndex:
         """
         lo, hi = lex_search(self.sorted_cols, queries)
         counts = hi - lo
+        if counts.max(initial=0) <= 1:
+            # unique keys: every query matches at most one entry
+            hit = np.flatnonzero(counts)
+            return self.ids[lo[hit]], hit
         total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         qidx = np.repeat(np.arange(len(counts)), counts)
         starts = np.repeat(lo, counts)
         offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -176,8 +222,9 @@ class SortedIndex:
         cols = [c[order] for c in cols]
         _, at = lex_search(self.sorted_cols, cols)
         out = SortedIndex.__new__(SortedIndex)
-        out.sorted_cols = [np.insert(o, at, c) for o, c in zip(self.sorted_cols, cols)]
-        out.ids = np.insert(self.ids, at, ids[order])
+        *out.sorted_cols, out.ids = sorted_insert(
+            [*self.sorted_cols, self.ids], at, [*cols, ids[order]]
+        )
         return out
 
 
@@ -228,8 +275,7 @@ class AttributeIndex:
         if base is not None:
             old_ids = base.vids if renumber is None else renumber[base.vids]
             at, _ = lex_search([*base.sorted_cols, old_ids], [*cols, ids])
-            ids = np.insert(old_ids, at, ids)
-            cols = [np.insert(b, at, c) for b, c in zip(base.sorted_cols, cols)]
+            *cols, ids = sorted_insert([*base.sorted_cols, old_ids], at, [*cols, ids])
         #: vids in lexsorted attribute order
         self.vids: np.ndarray = ids
         #: per-column attribute values aligned with ``self.vids``

@@ -1,5 +1,7 @@
 """QueryProfile unit tests: superstep cap, rendering, metric recording."""
 
+import time
+
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import (
     MAX_SUPERSTEP_ENTRIES,
@@ -163,6 +165,27 @@ class TestViewRefresh:
             "graql_view_refresh_rows_total", {"view": "Person", "kind": "vertex"}
         ) == 500
         assert db.metrics.get_histogram("graql_view_refresh_seconds").count == 4
+
+    def test_refresh_time_includes_the_catalog_step(self, tmp_path, monkeypatch):
+        from repro.catalog import Catalog
+
+        db = self._db()
+        slow = 0.05
+        refresh = Catalog.refresh
+
+        def slow_refresh(self, *args, **kwargs):
+            time.sleep(slow)
+            return refresh(self, *args, **kwargs)
+
+        monkeypatch.setattr(Catalog, "refresh", slow_refresh)
+        seconds = db.metrics.get_histogram("graql_view_refresh_seconds")
+        before = seconds.sum
+        db.ingest_text("Knows", "1,2\n")
+        assert seconds.sum - before >= slow
+        path = tmp_path / "k.csv"
+        path.write_text("2,3\n")
+        (result,) = db.execute(f"ingest table Knows '{path}'")
+        assert result.profile.refresh.seconds >= slow
 
     def test_profile_has_a_refresh_line(self, tmp_path):
         db = self._db()

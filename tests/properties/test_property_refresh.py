@@ -14,6 +14,12 @@ evaluates Eq. 1 and Eq. 2 by nested Python loops over the final rows —
 no join plan, no probe, no sorted index — and sorts the edges into the
 canonical order.
 
+The catalog rides along: after every step, the live catalog — built once
+and then only absorbing each ingest's refresh report — carries the
+``num_edges`` and both directions of ``degree_stats`` of a catalog over
+the one-shot build, and those equal the statistics of that build's
+degree arrays.
+
 The schema pool covers: a vertex ``where``, multi-column and varchar
 keys, NULL keys, many-to-one views, a one-to-one view that a duplicate
 key flips to many-to-one mid-sequence; edges with one ``from table``,
@@ -29,9 +35,10 @@ from itertools import product
 
 import hypothesis.strategies as st
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from repro import Database
+from repro.catalog import Catalog, DegreeStats
 from repro.dtypes.values import INT_NULL
 from repro.durability.state import apply_ddl, state_fingerprint
 from repro.graph.graphdb import GraphDB
@@ -295,18 +302,66 @@ def assert_matches_brute_force(got: GraphDB, steps) -> None:
             assert x == want, (name, field, x, want)
 
 
+DEGREE_FIELDS = ("avg_out", "max_out", "frac_out_nonzero", "avg_in", "max_in", "frac_in_nonzero")
+
+
+def assert_same_edge_meta(live: Catalog, want: GraphDB) -> None:
+    fresh = Catalog.from_db(want)
+    assert live.edges.keys() == fresh.edges.keys()
+    for name, em in fresh.edges.items():
+        idx = want.indexes[name]
+        by_arrays = DegreeStats(np.diff(idx.forward.indptr), np.diff(idx.reverse.indptr))
+        got = live.edges[name]
+        assert got.num_edges == em.num_edges == want.edge_types[name].num_edges
+        for field in DEGREE_FIELDS:
+            values = [getattr(meta.degree_stats, field) for meta in (got, em)]
+            values.append(getattr(by_arrays, field))
+            assert values[0] == values[1] == values[2], (name, field, values)
+
+
+E_CROSS = EDGES[3][0]
+E_JOIN = EDGES[1][0]
+E_ASSOC = EDGES[0][0]
+
+
 @given(schedules())
+@example([
+    # vertices that source no edge, then edges that land before existing
+    # ones (no ``from table``: the old eids are renumbered)
+    ("ddl", VERTICES[0]), ("ddl", VERTICES[1]), ("ddl", VERTICES[3]),
+    ("ddl", E_ASSOC), ("ddl", E_CROSS),
+    ("ingest", ("C", [("a", 2), ("b", 3)])),
+    ("ingest", ("P", [(0, "a", 2, 1.0), (1, "b", 3, 0.25)])),
+    ("ingest", ("K", [(0, 1, "a"), (0, 0, None)])),
+    ("ingest", ("P", [(2, "c", 0, 2.0), (3, None, 1, 0.75)])),
+    ("ingest", ("C", [("c", 2), ("d", 0)])),
+    ("ingest", ("P", [(4, "a", 5, 1.0)])),
+])
+@example([
+    # endpoint rows arriving after the rows that join them
+    ("ddl", VERTICES[0]), ("ddl", VERTICES[1]), ("ddl", E_JOIN), ("ddl", E_ASSOC),
+    ("ingest", ("K", [(2, 3, "a"), (3, 2, "b")])),
+    ("ingest", ("P", [(3, "a", 1, 1.0)])),
+    ("ingest", ("P", [(2, "b", 1, 1.0), (0, "c", 0, 1.0)])),
+    ("ingest", ("P", [(5, "c", 0, 1.0)])),
+    ("ingest", ("P", [(3, "d", 0, 1.0)])),
+])
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_delta_refresh_is_array_identical_to_one_shot_build(steps):
     db = GraphDB()
     for stmt in parse_script(TABLES).statements:
         apply_ddl(db, pretty_statement(stmt))
+    catalog = Catalog.from_db(db)
     for done, (kind, arg) in enumerate(steps, start=1):
         if kind == "ddl":
             apply_ddl(db, arg)
+            catalog.refresh(db)
         else:
-            db.ingest_rows(*arg)
-        assert_same_arrays(db, one_shot(steps[:done]))
+            _, report = db.ingest_rows(*arg)
+            catalog.absorb(db, report)
+        want = one_shot(steps[:done])
+        assert_same_arrays(db, want)
+        assert_same_edge_meta(catalog, want)
         assert_matches_brute_force(db, steps[:done])
         assert db.check_partition_invariants()
 
