@@ -12,8 +12,6 @@ materialized rows drop by ~the chunk count while results stay identical.
 
 import pytest
 
-from repro.engine.pipeline import run_pipelined
-from repro.graql.parser import parse_script
 from repro.workloads.berlin import berlin_database
 
 # broad on purpose: every review path in the database
@@ -42,10 +40,9 @@ def test_s3b1_sequential_pair(benchmark, berlin_bench_db):
 @pytest.mark.parametrize("chunks", [4, 16])
 def test_s3b1_pipelined_pair(benchmark, chunks):
     db = berlin_database(scale=300, seed=42)
-    script = parse_script(PAIR)
 
     def run():
-        return run_pipelined(db.db, db.catalog, script, num_chunks=chunks)
+        return db.execute_pipelined(PAIR, num_chunks=chunks)
 
     results, stats = benchmark(run)
     s = stats[0]
@@ -64,9 +61,7 @@ def test_s3b1_pipelined_identical_results(benchmark):
         db1 = berlin_database(scale=300, seed=42)
         state["ref"] = db1.query(PAIR)
         db2 = berlin_database(scale=300, seed=42)
-        state["results"], state["stats"] = run_pipelined(
-            db2.db, db2.catalog, parse_script(PAIR), num_chunks=8
-        )
+        state["results"], state["stats"] = db2.execute_pipelined(PAIR, num_chunks=8)
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     results, stats = state["results"], state["stats"]

@@ -10,14 +10,15 @@ backend.  This example drives those pieces directly:
    accounting,
 4. EXPLAIN plans (strategy, sweep direction, selectivities, schedule),
 5. pipelined execution of a dependent statement pair (III-B1) with its
-   intermediate-space accounting.
+   intermediate-space accounting, on a single-node ``Database`` over the
+   same data.
 
 Run:  python examples/gems_server.py
 """
 
 from repro import Server
 from repro.errors import AccessError, GraQLError
-from repro.workloads.berlin import BERLIN_DDL, generate_berlin
+from repro.workloads.berlin import BERLIN_DDL, berlin_database, generate_berlin
 
 
 def main() -> None:
@@ -70,11 +71,9 @@ def main() -> None:
           f"(total {server.ir_bytes_shipped})")
 
     # 4. EXPLAIN ------------------------------------------------------------
-    from repro.engine.session import Database
-
-    db = Database()
-    db.db = server.backend
-    db.catalog = server.catalog
+    # a single-node database over the same generated data: pipelining
+    # runs on one node
+    db = berlin_database(200, seed=7)
     print("\nEXPLAIN of a review-chain query:")
     print(
         db.explain(

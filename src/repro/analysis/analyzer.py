@@ -18,7 +18,7 @@ import json
 from typing import Any, Mapping, Optional
 
 from repro.analysis.diagnostics import Diagnostic, diagnostic_from_error
-from repro.analysis.passes import ALL_PASSES, deprecated_kwargs_pass
+from repro.analysis.passes import ALL_PASSES
 from repro.analysis.verifier import IRVerifier
 from repro.catalog import Catalog
 from repro.errors import GraQLError, IRError
@@ -116,30 +116,22 @@ class Analyzer:
         self,
         source: str,
         params: Optional[Mapping[str, Any]] = None,
-        deprecated_kwargs: Optional[dict] = None,
     ) -> AnalysisResult:
         """Analyze a GraQL script; never raises for script defects."""
-        diags: list[Diagnostic] = list(
-            deprecated_kwargs_pass(deprecated_kwargs or {})
-        )
         try:
             script = parse_script(source)
         except GraQLError as e:
-            diags.append(diagnostic_from_error(e))
-            return AnalysisResult(diags)
+            return AnalysisResult([diagnostic_from_error(e)])
         if params:
             try:
                 script = substitute_script(script, params)
             except GraQLError as e:
-                diags.append(diagnostic_from_error(e))
-                return AnalysisResult(diags, script)
-        return self.analyze_script(script, extra=diags)
+                return AnalysisResult([diagnostic_from_error(e)], script)
+        return self.analyze_script(script)
 
-    def analyze_script(
-        self, script: Script, extra: Optional[list[Diagnostic]] = None
-    ) -> AnalysisResult:
+    def analyze_script(self, script: Script) -> AnalysisResult:
         """Analyze an already-parsed script."""
-        diags: list[Diagnostic] = list(extra or [])
+        diags: list[Diagnostic] = []
 
         # collect-all typechecking: every error, not just the first;
         # the scratch catalog carries the script's own DDL so later

@@ -75,8 +75,6 @@ CODES: dict[str, tuple[str, str, Optional[str]]] = {
                "bound the repetition with {n} or add selective conditions"),
     "GQW131": (WARNING, "high-fanout variant step",
                "name the vertex type instead of using '[ ]'"),
-    "GQW140": (WARNING, "deprecated keyword argument",
-               "pass options=QueryOptions(...) instead of force_* kwargs"),
 }
 
 

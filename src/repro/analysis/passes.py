@@ -341,26 +341,5 @@ def blowup_pass(
     return out
 
 
-def deprecated_kwargs_pass(deprecated_kwargs: dict, **_kw) -> list[Diagnostic]:
-    """GQW140: removed ``force_direction``/``force_strategy`` usage.
-
-    These kwargs were deprecated in the PR 2 options migration and are
-    now removed from every execution entry point (passing them raises
-    ``TypeError``); the analyzer still reports each one handed to
-    :meth:`~repro.engine.session.Database.analyze` so call sites can be
-    linted before they break at runtime."""
-    out = []
-    for name, value in sorted((deprecated_kwargs or {}).items()):
-        if value is None:
-            continue
-        out.append(
-            Diagnostic(
-                "GQW140",
-                f"keyword argument {name!r} is deprecated",
-            )
-        )
-    return out
-
-
 #: the pass pipeline, in report order
 ALL_PASSES = (predicate_pass, label_pass, dead_statement_pass, blowup_pass)

@@ -24,7 +24,10 @@ whichever adapter submitted it — :meth:`Server.submit`, an in-process
    the paper's static-analysis placement;
 4. execute each statement's resolution.  A statement is re-checked
    against the live catalog only once an earlier statement of the same
-   script has moved the catalog epoch.
+   script has moved the catalog epoch.  Under
+   ``Database.execute_pipelined`` each fusable (graph select ->
+   aggregation) pair runs as fused chunked steps instead
+   (:mod:`repro.engine.pipeline`, Section III-B1).
 
 With ``workers`` set the backend is the simulated cluster of
 :mod:`repro.dist`, and step 4 ships each statement to it as binary IR:
@@ -47,6 +50,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable, Mapping, Optional
 
 from repro.catalog import Catalog
+from repro.engine.pipeline import Pipeline
 from repro.errors import AccessError, ClosedError, NotPrimary
 from repro.graph.graphdb import GraphDB
 from repro.graql.ast import Script
@@ -57,7 +61,7 @@ from repro.graql.params import substitute_statement
 from repro.graql.parser import parse_script
 from repro.graql.typecheck import check_script, check_statement
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.options import QueryOptions, reject_legacy_kwargs, resolve_options
+from repro.obs.options import QueryOptions, resolve_options
 from repro.obs.profile import record_profile_metrics
 from repro.query.executor import StatementResult, execute_checked
 from repro.serve.admission import AdmissionController
@@ -265,7 +269,6 @@ class Server:
         params: Optional[Mapping[str, Any]] = None,
         timeout_s: Optional[float] = None,
         options: Optional[QueryOptions] = None,
-        **legacy: Any,
     ) -> list[StatementResult]:
         """Run a script through the statement pipeline on this thread.
 
@@ -279,11 +282,8 @@ class Server:
         Admission control may raise :class:`~repro.errors.ServerBusy`;
         read-only scripts execute under the shared catalog lock (and may
         be answered from the plan cache, flagged ``cache: hit`` in the
-        profile); anything with effects serializes.  The removed
-        ``force_*`` kwargs raise ``TypeError`` pointing at
-        :class:`~repro.obs.QueryOptions`.
+        profile); anything with effects serializes.
         """
-        reject_legacy_kwargs(legacy, "Server.submit")
         return self._admitted(
             username, self._script_job(username, graql, params, timeout_s, options)
         )
@@ -429,9 +429,7 @@ class Server:
         opts: QueryOptions,
         timeout_s: Optional[float],
     ) -> list[StatementResult]:
-        t0 = time.perf_counter()
-        script = parse_script(source)
-        parse = ("parse", _ms_since(t0))
+        script, parse = self._parse(source)
         if script_is_write(script):
             return self._write(
                 lambda: self._execute(
@@ -451,6 +449,13 @@ class Server:
                 self.cache.store(key, checked)
             return results
 
+    @staticmethod
+    def _parse(source: str) -> tuple[Script, tuple[str, float]]:
+        """Parse *source*; returns the script and its ``parse`` stage."""
+        t0 = time.perf_counter()
+        script = parse_script(source)
+        return script, ("parse", _ms_since(t0))
+
     def _execute(
         self,
         username: str,
@@ -459,12 +464,15 @@ class Server:
         opts: QueryOptions,
         timeout_s: Optional[float] = None,
         stages: Optional[list] = None,
+        pipeline: Optional[Pipeline] = None,
     ) -> tuple[list[StatementResult], list]:
         """Check and execute a parsed script under the caller's lock.
 
         Returns the results and each statement's resolution.  *stages*
         (the parse, when there was one) lead the first statement's
         profile, followed by the script-level substitute and typecheck.
+        With a *pipeline*, the checked script's fusable pairs run as its
+        fused steps (Section III-B1; single node only).
         """
         for stmt in script.statements:
             self._check_rights(username, stmt)
@@ -477,6 +485,7 @@ class Server:
         t0 = time.perf_counter()
         checked = check_script(Script(statements), self.catalog)
         stages.append(("typecheck", _ms_since(t0)))
+        fused = pipeline.steps(statements, checked) if pipeline is not None else {}
         epoch = self.catalog.epoch
         results = []
         for i, stmt in enumerate(statements):
@@ -489,7 +498,8 @@ class Server:
             if self.cluster is not None:
                 result = self._ship(stmt, opts, timeout_s, stages)
             else:
-                result = execute_checked(self.backend, self.catalog, checked[i], opts)
+                run = fused.get(i, execute_checked)
+                result = run(self.backend, self.catalog, checked[i], opts)
             self._record(result, stages)
             stages = []
             results.append(result)

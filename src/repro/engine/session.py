@@ -34,9 +34,8 @@ from __future__ import annotations
 from typing import Any, Mapping, Optional, Sequence
 
 from repro.errors import ExecutionError
-from repro.graql.parser import parse_script
-from repro.obs.options import QueryOptions, reject_legacy_kwargs
-from repro.obs.profile import record_profile_metrics, record_refresh_metrics
+from repro.obs.options import QueryOptions, resolve_options
+from repro.obs.profile import record_refresh_metrics
 from repro.graph.subgraph import Subgraph
 from repro.query.executor import StatementKind, StatementResult
 from repro.storage.table import Table
@@ -63,9 +62,6 @@ class Database:
     and every statement folds its profile into ``db.metrics`` (a
     :class:`~repro.obs.MetricsRegistry`); ``db.render_metrics()`` emits
     the Prometheus text exposition.
-
-    The removed ``force_direction``/``force_strategy`` kwargs raise
-    ``TypeError`` with a pointer to ``QueryOptions`` (docs/API.md).
     """
 
     def __init__(
@@ -216,13 +212,11 @@ class Database:
         graql: str,
         params: Optional[Mapping[str, Any]] = None,
         options: Optional[QueryOptions] = None,
-        **legacy: Any,
     ) -> list[StatementResult]:
         """Execute a GraQL script (one or more statements), in order.
 
         ``options`` is the typed execution API (docs/OBSERVABILITY.md).
         """
-        reject_legacy_kwargs(legacy, "Database.execute")
         return self._conn.execute(graql, params, options)
 
     def query(
@@ -230,7 +224,6 @@ class Database:
         graql: str,
         params: Optional[Mapping[str, Any]] = None,
         options: Optional[QueryOptions] = None,
-        **legacy: Any,
     ) -> Table:
         """Execute a script and return the last statement's table result.
 
@@ -239,7 +232,6 @@ class Database:
         :class:`Table` and raises ``ExecutionError`` if the script
         produced no table.
         """
-        reject_legacy_kwargs(legacy, "Database.query")
         results = self.execute(graql, params, options)
         for r in reversed(results):
             if r.kind == StatementKind.TABLE and r.table is not None:
@@ -251,10 +243,8 @@ class Database:
         graql: str,
         params: Optional[Mapping[str, Any]] = None,
         options: Optional[QueryOptions] = None,
-        **legacy: Any,
     ) -> Subgraph:
         """Execute a script and return the last subgraph result."""
-        reject_legacy_kwargs(legacy, "Database.query_subgraph")
         results = self.execute(graql, params, options)
         for r in reversed(results):
             if r.kind == StatementKind.SUBGRAPH and r.subgraph is not None:
@@ -313,36 +303,17 @@ class Database:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def analyze(
-        self,
-        graql: str,
-        params: Optional[Mapping[str, Any]] = None,
-        *,
-        force_direction: Optional[str] = None,
-        force_strategy: Optional[str] = None,
-    ):
+    def analyze(self, graql: str, params: Optional[Mapping[str, Any]] = None):
         """Statically analyze a script without executing anything.
 
         Runs the multi-pass analyzer (collect-all typechecking, lint
         passes, IR verification) against the current catalog and returns
         an :class:`~repro.analysis.AnalysisResult` — every defect in one
         run, each with a stable ``GQL``/``GQW`` code and ``line:col``.
-
-        Unlike the execution entry points (where they were removed), the
-        ``force_*`` kwargs are still *accepted* here and their use
-        reported as ``GQW140`` — this is the lint surface for finding
-        call sites that would now raise ``TypeError`` at runtime.
         """
         from repro.analysis import Analyzer
 
-        return Analyzer(self.catalog).analyze(
-            graql,
-            params,
-            deprecated_kwargs={
-                "force_direction": force_direction,
-                "force_strategy": force_strategy,
-            },
-        )
+        return Analyzer(self.catalog).analyze(graql, params)
 
     def explain(
         self,
@@ -401,23 +372,29 @@ class Database:
         num_chunks: int = 8,
         options: Optional[QueryOptions] = None,
     ):
-        """Execute with Section III-B1 pipelining: dependent
-        (graph-select -> aggregation) pairs run fused in chunks, bounding
-        intermediate materialization.  Returns (results, pipeline stats).
+        """:meth:`execute` with Section III-B1 pipelining: each dependent
+        (graph select -> aggregation) pair runs fused, in up to
+        *num_chunks* chunks, bounding intermediate materialization.
+        The script takes the server's one statement pipeline (rights,
+        whole-script check, lock, metrics) like every other adapter.
+        Returns (results, one
+        :class:`~repro.engine.pipeline.PipelineStats` per fused pair).
         """
-        from repro.engine.pipeline import run_pipelined
+        from repro.engine.pipeline import Pipeline
+        from repro.serve.engine import script_is_write
 
-        def work():
-            return run_pipelined(
-                self.db, self.catalog, parse_script(graql), params, num_chunks, options
-            )
-
-        # pipelined scripts register result tables: treat as a writer
-        results, stats = self._server.run_work("admin", True, work)
-        for r in results:
-            if r.profile is not None:
-                record_profile_metrics(self.metrics, r.profile)
-        return results, stats
+        server = self._server
+        script, parse = server._parse(graql)
+        opts = resolve_options(options)
+        pipeline = Pipeline(num_chunks)
+        results = server.run_work(
+            "admin",
+            script_is_write(script),
+            lambda: server._execute(
+                "admin", script, params, opts, opts.timeout, [parse], pipeline
+            )[0],
+        )
+        return results, pipeline.stats
 
     def vertex_count(self, type_name: str) -> int:
         return self.db.vertex_type(type_name).num_vertices

@@ -24,10 +24,8 @@ from repro.obs.metrics import (
 )
 from repro.obs.options import (
     DEFAULT_OPTIONS,
-    REMOVED_MSG,
     Hints,
     QueryOptions,
-    reject_legacy_kwargs,
     resolve_options,
 )
 from repro.obs.profile import (
@@ -43,9 +41,7 @@ __all__ = [
     "QueryOptions",
     "Hints",
     "resolve_options",
-    "reject_legacy_kwargs",
     "DEFAULT_OPTIONS",
-    "REMOVED_MSG",
     "Tracer",
     "Span",
     "MetricsRegistry",

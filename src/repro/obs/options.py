@@ -9,16 +9,15 @@ so planner pins, timeout budgets and observability switches compose
 instead of growing one kwarg per layer.
 
 The legacy kwargs were deprecated for one release (with a
-``DeprecationWarning`` shim) and are now **removed**: passing them to
-any execution entry point raises :class:`TypeError` pointing at
-``QueryOptions`` (policy: docs/OBSERVABILITY.md, migration table:
-docs/API.md).
+``DeprecationWarning`` shim) and are now **removed**: no entry point
+accepts them, so passing one raises Python's own :class:`TypeError`
+(migration table: docs/API.md).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Mapping, Optional, Union
+from typing import Optional, Union
 
 _DIRECTIONS = (None, "forward", "backward")
 
@@ -80,17 +79,6 @@ class Hints:
         return out
 _STRATEGIES = (None, "set", "bindings")
 _EXPLAIN_MODES = (False, True, "plan", "analyze")
-
-#: the kwargs removed after their PR 2 deprecation cycle
-REMOVED_KWARGS = ("force_direction", "force_strategy")
-
-#: message used when a removed legacy kwarg is passed (the analyzer's
-#: GQW140 lint points at the same migration)
-REMOVED_MSG = (
-    "the force_direction/force_strategy keyword arguments were removed; "
-    "pass options=QueryOptions(direction=..., strategy=...) instead "
-    "(docs/API.md)"
-)
 
 
 @dataclass(frozen=True)
@@ -178,24 +166,6 @@ def resolve_options(options: Optional[QueryOptions] = None) -> QueryOptions:
     """Normalize an optional ``options`` argument.
 
     Plain calls (``options=None``) return the shared default instance so
-    the hot path allocates nothing.  The legacy ``force_*`` merging
-    branch is gone — see :func:`reject_legacy_kwargs`.
+    the hot path allocates nothing.
     """
     return options if options is not None else DEFAULT_OPTIONS
-
-
-def reject_legacy_kwargs(kwargs: Mapping[str, Any], where: str) -> None:
-    """Raise ``TypeError`` for any unexpected ``**kwargs``.
-
-    The removed ``force_direction``/``force_strategy`` kwargs get a
-    migration pointer at :class:`QueryOptions`; anything else gets the
-    ordinary unexpected-keyword message.  No-op on empty kwargs, so
-    entry points can accept ``**legacy`` at zero cost.
-    """
-    if not kwargs:
-        return
-    for name in kwargs:
-        if name in REMOVED_KWARGS:
-            raise TypeError(f"{where}: {REMOVED_MSG}")
-    name = next(iter(kwargs))
-    raise TypeError(f"{where}() got an unexpected keyword argument {name!r}")

@@ -18,13 +18,12 @@ catalog statistics per Section III-B — the traversal direction, exploiting
 the existence of both forward and reverse edge indexes.
 """
 
-from repro.query.executor import StatementResult, execute_script, execute_statement
+from repro.query.executor import StatementResult, execute_statement
 from repro.query.explain import ExplainReport, PlanNode, StatementPlan
 from repro.query.planner import AccessPath, AtomPlan, QueryPlan, plan_graph_select
 
 __all__ = [
     "execute_statement",
-    "execute_script",
     "StatementResult",
     "plan_graph_select",
     "QueryPlan",

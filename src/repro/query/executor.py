@@ -49,7 +49,7 @@ from repro.graql.typecheck import (
     RVertexStep,
     check_statement,
 )
-from repro.obs.options import QueryOptions, reject_legacy_kwargs, resolve_options
+from repro.obs.options import QueryOptions, resolve_options
 from repro.obs.profile import AtomProfile, QueryProfile, StepProfile
 from repro.obs.trace import Tracer
 from repro.query.bindings import BindingExecutor
@@ -192,17 +192,13 @@ def execute_statement(
     stmt: Statement,
     params: Optional[Mapping[str, Any]] = None,
     options: Optional[QueryOptions] = None,
-    **legacy: Any,
 ) -> StatementResult:
     """Type-check and execute one statement (parameters substituted first).
 
     ``options`` is the typed execution API
-    (:class:`~repro.obs.QueryOptions`); the removed ``force_direction`` /
-    ``force_strategy`` kwargs raise ``TypeError`` pointing at it.  Unless
-    ``options.profile`` is off, the returned result carries a
-    :class:`~repro.obs.QueryProfile`.
+    (:class:`~repro.obs.QueryOptions`).  Unless ``options.profile`` is
+    off, the returned result carries a :class:`~repro.obs.QueryProfile`.
     """
-    reject_legacy_kwargs(legacy, "execute_statement")
     opts = resolve_options(options)
     profile = QueryProfile() if opts.profile else None
     tracer = Tracer() if (opts.trace and profile is not None) else None
@@ -318,20 +314,6 @@ def _execute_resolved(
         return StatementResult("table", table=table, count=table.num_rows)
     assert isinstance(checked, CheckedGraphSelect)
     return _execute_graph_select(db, catalog, checked, opts, profile, tracer)
-
-
-def execute_script(
-    db: GraphDB,
-    catalog: Catalog,
-    script: Script,
-    params: Optional[Mapping[str, Any]] = None,
-    options: Optional[QueryOptions] = None,
-) -> list[StatementResult]:
-    """Execute a whole GraQL script in order (Section III's Omega)."""
-    return [
-        execute_statement(db, catalog, stmt, params, options)
-        for stmt in script.statements
-    ]
 
 
 # ----------------------------------------------------------------------

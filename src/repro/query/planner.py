@@ -10,9 +10,10 @@ steps left-to-right versus right-to-left.  The cost model is the classic
 frontier-size recurrence: starting from the anchor step's estimated
 cardinality (type cardinality x condition selectivity), each edge step
 multiplies by the catalog's average degree in the traversal direction and
-each vertex step filters by its selectivity.  The cheaper direction wins;
-``force_direction`` exists so the S3B ablation benchmark can pin the
-lexical order and measure what the reverse index buys.
+each vertex step filters by its selectivity.  The cheaper direction wins
+unless ``force_direction`` pins one: that is how
+``QueryOptions.direction`` reaches the planner (the S3B ablation
+benchmark uses it to measure what the reverse index buys).
 
 Strategy choice: patterns that need per-path bindings (``foreach`` labels,
 cross-step attribute references, table outputs) run the binding-join

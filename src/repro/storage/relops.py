@@ -314,6 +314,51 @@ def group_by_aggregate(
     return Table(result_name, Schema(out_defs), out_cols)
 
 
+def partial_aggregates(aggs: Sequence[AggSpec]) -> list[AggSpec]:
+    """Phase one of a two-phase aggregation: what each slice of the rows
+    aggregates on its own.  ``count``/``sum``/``min``/``max`` are their
+    own partials; ``avg`` splits into a (sum, count) pair.  The cluster
+    runs it per worker, a pipelined pair per chunk."""
+    out = []
+    for a in aggs:
+        if a.func == "avg":
+            out.append(AggSpec("sum", a.arg, f"__sum_{a.alias}"))
+            out.append(AggSpec("count", a.arg, f"__count_{a.alias}"))
+        else:
+            out.append(AggSpec(a.func, a.arg, f"__part_{a.alias}"))
+    return out
+
+
+def merge_aggregates(
+    partials: Table,
+    group_cols: Sequence[str],
+    aggs: Sequence[AggSpec],
+    result_name: str = "result",
+) -> Table:
+    """Phase two: merge the union of the slices' :func:`partial_aggregates`
+    rows into one row per group — the columns :func:`group_by_aggregate`
+    gives over all rows at once.  Counts and sums merge by addition,
+    ``min``/``max`` by themselves, and an ``avg`` is its summed sum over
+    its summed count."""
+    specs = []
+    for a in aggs:
+        if a.func == "avg":
+            for part in (f"__sum_{a.alias}", f"__count_{a.alias}"):
+                specs.append(AggSpec("sum", part, part))
+        else:
+            merge = "sum" if a.func == "count" else a.func
+            specs.append(AggSpec(merge, f"__part_{a.alias}", a.alias))
+    out = group_by_aggregate(partials, group_cols, specs)
+    for a in aggs:
+        if a.func == "avg":
+            sums = out.column(f"__sum_{a.alias}").data.astype(np.float64)
+            counts = out.column(f"__count_{a.alias}").data.astype(np.float64)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                avg = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+            out = out.with_column(ColumnDef(a.alias, FLOAT), Column(FLOAT, avg))
+    return out.project([*group_cols, *(a.alias for a in aggs)], result_name)
+
+
 # ----------------------------------------------------------------------
 # Joins
 # ----------------------------------------------------------------------

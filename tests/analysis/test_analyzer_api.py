@@ -56,14 +56,6 @@ class TestDatabaseAnalyze:
         (d,) = social_db.analyze(src).diagnostics
         assert d.code == "GQL020"
 
-    def test_deprecated_kwargs_reported(self, social_db):
-        result = social_db.analyze(
-            "select id from table People", force_direction="backward"
-        )
-        assert [d.code for d in result.diagnostics] == ["GQW140"]
-        assert result.exit_code() == 0  # warning, not an error
-        assert result.exit_code(strict=True) == 1
-
     def test_never_raises_on_garbage(self, social_db):
         result = social_db.analyze("se lect ~~~ from @")
         assert not result.ok

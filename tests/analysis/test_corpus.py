@@ -21,9 +21,8 @@ CORPUS_DIR = Path(__file__).parent / "corpus"
 CORPUS = sorted(CORPUS_DIR.glob("*.graql"))
 
 #: codes that cannot be provoked from script text alone; their tests
-#: live in test_verifier.py (corrupted IR) and test_analyzer_api.py
-#: (deprecated kwargs at the call site)
-NON_SCRIPT_CODES = {"GQL030", "GQW140"}
+#: live in test_verifier.py (corrupted IR)
+NON_SCRIPT_CODES = {"GQL030"}
 
 
 def _render(result) -> str:

@@ -6,7 +6,6 @@ from repro.analysis.passes import (
     EXPANSION_THRESHOLD,
     blowup_pass,
     dead_statement_pass,
-    deprecated_kwargs_pass,
     label_pass,
     predicate_pass,
 )
@@ -155,15 +154,3 @@ class TestBlowupPass:
         )
         assert out == []
 
-
-class TestDeprecatedKwargsPass:
-    def test_each_passed_kwarg_reported(self):
-        out = deprecated_kwargs_pass(
-            {"force_direction": "forward", "force_strategy": None}
-        )
-        assert codes(out) == ["GQW140"]
-        assert "force_direction" in out[0].message
-
-    def test_silent_when_unused(self):
-        assert deprecated_kwargs_pass({}) == []
-        assert deprecated_kwargs_pass({"force_direction": None}) == []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.pipeline import find_fusable_pairs, run_pipelined
+from repro.engine.pipeline import find_fusable_pairs
 from repro.graql.parser import parse_script
 from repro.workloads.berlin import Q1_FIG7, Q2_FIG6, berlin_database
 from tests.conftest import build_social_db
@@ -51,17 +51,13 @@ class TestFusedExecution:
         db1 = build_social_db()
         ref = db1.query(BROAD_PAIR)
         db2 = build_social_db()
-        results, stats = run_pipelined(
-            db2.db, db2.catalog, parse_script(BROAD_PAIR), num_chunks=3
-        )
+        results, stats = db2.execute_pipelined(BROAD_PAIR, num_chunks=3)
         assert results[1].table.to_rows() == ref.to_rows()
         assert len(stats) == 1
 
     def test_chunking_bounds_peak(self):
         db = build_social_db()
-        results, stats = run_pipelined(
-            db.db, db.catalog, parse_script(BROAD_PAIR), num_chunks=6
-        )
+        results, stats = db.execute_pipelined(BROAD_PAIR, num_chunks=6)
         s = stats[0]
         assert s.chunks > 1
         assert s.peak_partial_rows < s.total_paths
@@ -69,19 +65,14 @@ class TestFusedExecution:
 
     def test_intermediate_table_still_registered(self):
         db = build_social_db()
-        run_pipelined(db.db, db.catalog, parse_script(BROAD_PAIR), num_chunks=4)
+        db.execute_pipelined(BROAD_PAIR, num_chunks=4)
         assert db.db.table("T1").num_rows == 8
 
     def test_berlin_q2_pipelined(self):
         db1 = berlin_database(scale=120, seed=5)
         ref = db1.query(Q2_FIG6, params={"Product1": "product7"})
         db2 = berlin_database(scale=120, seed=5)
-        results, _ = run_pipelined(
-            db2.db,
-            db2.catalog,
-            parse_script(Q2_FIG6),
-            params={"Product1": "product7"},
-        )
+        results, _ = db2.execute_pipelined(Q2_FIG6, params={"Product1": "product7"})
         assert results[1].table.to_rows() == ref.to_rows()
 
     def test_multi_atom_falls_back(self):
@@ -89,11 +80,8 @@ class TestFusedExecution:
         db1 = berlin_database(scale=120, seed=5)
         ref = db1.query(Q1_FIG7, params={"Country1": "US", "Country2": "DE"})
         db2 = berlin_database(scale=120, seed=5)
-        results, stats = run_pipelined(
-            db2.db,
-            db2.catalog,
-            parse_script(Q1_FIG7),
-            params={"Country1": "US", "Country2": "DE"},
+        results, stats = db2.execute_pipelined(
+            Q1_FIG7, params={"Country1": "US", "Country2": "DE"}
         )
         assert results[1].table.to_rows() == ref.to_rows()
         assert stats == []  # fell back, no fusion
@@ -110,9 +98,7 @@ class TestFusedExecution:
         """
         ref = db1.query(script)
         db2 = build_social_db()
-        results, stats = run_pipelined(
-            db2.db, db2.catalog, parse_script(script), num_chunks=3
-        )
+        results, stats = db2.execute_pipelined(script, num_chunks=3)
         assert results[1].table.to_rows() == pytest.approx(ref.to_rows()[0]) or (
             results[1].table.to_rows() == ref.to_rows()
         )
@@ -127,7 +113,7 @@ class TestFusedExecution:
 
         select id, count(*) as n from table Nada group by id
         """
-        results, _ = run_pipelined(db.db, db.catalog, parse_script(script))
+        results, _ = db.execute_pipelined(script)
         assert results[1].table.num_rows == 0
 
 

@@ -4,13 +4,10 @@ import dataclasses
 
 import pytest
 
-from repro.obs.options import (
-    DEFAULT_OPTIONS,
-    REMOVED_MSG,
-    QueryOptions,
-    reject_legacy_kwargs,
-    resolve_options,
-)
+from repro.obs.options import DEFAULT_OPTIONS, QueryOptions, resolve_options
+
+#: Python's own rejection: no entry point takes the removed kwargs
+REMOVED = "unexpected keyword argument 'force_{}'"
 
 
 class TestQueryOptions:
@@ -66,36 +63,35 @@ class TestResolveOptions:
         with pytest.raises(TypeError):
             resolve_options(force_direction="backward")
 
-    def test_reject_legacy_kwargs_message(self):
-        with pytest.raises(TypeError, match="force_direction/force_strategy"):
-            reject_legacy_kwargs({"force_direction": "backward"}, "query")
-        with pytest.raises(TypeError, match="QueryOptions"):
-            reject_legacy_kwargs({"force_strategy": "set"}, "query")
+    def test_reject_legacy_kwargs_message(self, social_db):
+        q = "select name from table People"
+        with pytest.raises(TypeError, match=REMOVED.format("direction")):
+            social_db.query(q, force_direction="backward")
+        with pytest.raises(TypeError, match=REMOVED.format("strategy")):
+            social_db.query(q, force_strategy="set")
 
-    def test_reject_unknown_kwarg_plain_typeerror(self):
+    def test_reject_unknown_kwarg_plain_typeerror(self, social_db):
         with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
-            reject_legacy_kwargs({"bogus": 1}, "query")
-
-    def test_reject_empty_is_noop(self):
-        reject_legacy_kwargs({}, "query")
+            social_db.execute("select name from table People", bogus=1)
 
 
 class TestRemovedKwargs:
-    """PR 2's deprecation shim is gone: every execution entry point now
-    raises ``TypeError`` pointing at ``QueryOptions`` (docs/API.md)."""
+    """PR 2's deprecation shim is gone: no execution entry point takes
+    the kwargs, so each raises Python's own ``TypeError`` (migration
+    table: docs/API.md)."""
 
     def test_execute_force_direction_raises(self, social_db):
         q = (
             "select * from graph Person (country = 'US') --follows--> "
             "Person ( ) into subgraph SH1"
         )
-        with pytest.raises(TypeError, match=REMOVED_MSG[:30]):
+        with pytest.raises(TypeError, match=REMOVED.format("direction")):
             social_db.execute(q, force_direction="backward")
         # and nothing executed: the subgraph does not exist
         assert "SH1" not in social_db.catalog.subgraphs
 
     def test_query_force_strategy_raises(self, social_db):
-        with pytest.raises(TypeError, match="force_direction/force_strategy"):
+        with pytest.raises(TypeError, match=REMOVED.format("strategy")):
             social_db.query(
                 "select y.id from graph Person ( ) --follows--> "
                 "def y: Person ( ) into table SHT1",
@@ -103,7 +99,7 @@ class TestRemovedKwargs:
             )
 
     def test_query_subgraph_raises(self, social_db):
-        with pytest.raises(TypeError, match="QueryOptions"):
+        with pytest.raises(TypeError, match=REMOVED.format("direction")):
             social_db.query_subgraph(
                 "select * from graph Person ( ) --follows--> Person ( ) "
                 "into subgraph SHS1",
@@ -118,7 +114,7 @@ class TestRemovedKwargs:
             "select * from graph Person ( ) --follows--> Person ( ) "
             "into subgraph SHX"
         ).statements[0]
-        with pytest.raises(TypeError, match="docs/API.md"):
+        with pytest.raises(TypeError, match=REMOVED.format("direction")):
             execute_statement(
                 social_db.db, social_db.catalog, stmt,
                 force_direction="forward",
@@ -129,7 +125,7 @@ class TestRemovedKwargs:
 
         srv = Server()
         srv.submit("admin", "create table T(i integer)")
-        with pytest.raises(TypeError, match="force_direction/force_strategy"):
+        with pytest.raises(TypeError, match=REMOVED.format("strategy")):
             srv.submit(
                 "admin", "select * from table T", force_strategy="set"
             )
@@ -153,8 +149,8 @@ class TestRemovedKwargs:
             w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
         ]
 
-    def test_analyze_still_accepts_kwargs_as_lint_surface(self, social_db):
-        res = social_db.analyze(
-            "select name from table People", force_direction="backward"
-        )
-        assert any(d.code == "GQW140" for d in res.diagnostics)
+    def test_analyze_rejects_removed_kwargs(self, social_db):
+        with pytest.raises(TypeError, match=REMOVED.format("direction")):
+            social_db.analyze(
+                "select name from table People", force_direction="backward"
+            )

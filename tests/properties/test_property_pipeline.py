@@ -3,9 +3,6 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.engine.pipeline import run_pipelined
-from repro.graql.parser import parse_script
-
 from tests.conftest import random_graph_db
 
 TEMPLATES = [
@@ -27,6 +24,13 @@ TEMPLATES = [
         "into table P",
         "select count(*) as n, sum(w) as s, avg(w) as a from table P",
     ),
+    (
+        # a consumer where (k = 9 passes no path)
+        "select a.id as src, y.weight as w from graph def a: V0 ( ) --e0--> "
+        "def y: V0 ( ) into table P",
+        "select src, count(*) as n, sum(w) as s from table P where w > {k} "
+        "group by src order by src asc",
+    ),
 ]
 
 
@@ -39,13 +43,11 @@ TEMPLATES = [
 @settings(max_examples=50, deadline=None)
 def test_pipelined_equals_sequential(seed, tidx, k, chunks):
     g, c = TEMPLATES[tidx]
-    script_text = g.format(k=k) + "\n" + c
+    script_text = g.format(k=k) + "\n" + c.format(k=k)
     db1 = random_graph_db(seed, num_vertices=24, num_edges=60)
     ref = db1.query(script_text)
     db2 = random_graph_db(seed, num_vertices=24, num_edges=60)
-    results, stats = run_pipelined(
-        db2.db, db2.catalog, parse_script(script_text), num_chunks=chunks
-    )
+    results, stats = db2.execute_pipelined(script_text, num_chunks=chunks)
     got = results[1].table
     def norm(rows):
         return [

@@ -12,7 +12,10 @@ the same profile stages.  Counting only, no timing:
 * on a cluster backend each statement is encoded, verified and decoded
   exactly once;
 * stage names are the same on every adapter (prepared statements have
-  no ``parse``; a plan-cache hit is a single ``cache`` stage).
+  no ``parse``; a plan-cache hit is a single ``cache`` stage);
+* ``Database.execute_pipelined`` does the front-end work of
+  ``Database.execute`` and reports its stages, also for the pairs it
+  fuses.
 """
 
 from __future__ import annotations
@@ -230,6 +233,38 @@ def test_script_rechecks_only_after_the_epoch_moves(berlin, tally, adapter):
         front + ["plan", "execute", "materialize"],
         ["typecheck", "execute"],
     ]
+
+
+#: a fusable pair over every review path (benchmarks/bench_s3b1_pipelining.py)
+REVIEW_PAIR = """
+select y.id from graph
+PersonVtx ( ) <--reviewer-- ReviewVtx ( ) --reviewFor--> def y: ProductVtx ( )
+into table allReviews
+
+select top 10 id, count(*) as n from table allReviews
+group by id order by n desc, id asc
+"""
+
+
+@pytest.mark.parametrize(
+    "source, params",
+    [
+        (QUERIES["berlin_q2"].graql, {"Product1": "product3"}),
+        (REVIEW_PAIR, None),
+    ],
+    ids=["berlin_q2", "review_pair"],
+)
+def test_execute_pipelined_matches_execute(berlin, tally, source, params):
+    db = berlin.db
+    tally.reset()
+    want = db.execute(source, params)
+    sequential = dict(tally.calls), list(tally.stages)
+    tally.reset()
+    got, stats = db.execute_pipelined(source, params, num_chunks=4)
+    assert len(stats) == 1  # the pair ran fused
+    assert (dict(tally.calls), tally.stages) == sequential
+    assert sequential[0]["check"] == 3 and sequential[0]["parse"] == 1
+    assert got[-1].table.to_rows() == want[-1].table.to_rows()
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Every adapter allows, rejects and answers a script the same way.
 
-Three behaviours once differed by route and are pinned here on each
+Four behaviours once differed by route and are pinned here on each
 adapter that runs the server's one statement pipeline:
 
 * a ``reader`` account cannot write through any connection;
 * an ill-typed script runs no statement at all (the whole script is
   checked before the first one executes);
 * ``prepare()`` accepts every script a one-shot run accepts and returns
-  the same rows.
+  the same rows;
+* ``execute_pipelined`` writes to the store what ``execute`` of the same
+  script writes, and nothing for its chunks.
 """
 
 from __future__ import annotations
@@ -19,10 +21,17 @@ import numpy as np
 import pytest
 
 from repro import Database, connect
+from repro.durability.wal import read_wal
 from repro.errors import AccessError, CatalogError, TypeCheckError
 from repro.net import GraqlServer, RemoteConnection
 from repro.workloads.berlin import COUNTRIES, QUERIES, berlin_database, generate_berlin
-from tests.conftest import build_social_db
+from tests.conftest import (
+    CITY_ROWS,
+    FOLLOW_ROWS,
+    PEOPLE_ROWS,
+    SOCIAL_DDL,
+    build_social_db,
+)
 
 ILL_TYPED = "create table Ok(id integer)\nselect * from table Nope"
 
@@ -205,3 +214,75 @@ def test_prepare_matches_one_shot_over_the_wire(berlin):
             _assert_prepare_matches_one_shot(conn, data, wire=True)
     finally:
         srv.shutdown(drain=True)
+
+
+# ----------------------------------------------------------------------
+# execute_pipelined takes the same route
+# ----------------------------------------------------------------------
+
+#: a fusable pair: one follows-path per row, counted per target
+BROAD_PAIR = """
+select y.id from graph
+Person ( ) --follows--> def y: Person ( )
+into table T1
+
+select id, count(*) as n from table T1
+group by id order by n desc, id asc
+"""
+
+
+def _social_store(path: str) -> Database:
+    db = Database.open(path, fsync="off", checkpoint_every=0)
+    db.execute(SOCIAL_DDL)
+    for name, rows in (
+        ("People", PEOPLE_ROWS),
+        ("Cities", CITY_ROWS),
+        ("Follows", FOLLOW_ROWS),
+    ):
+        db.ingest_rows(name, rows)
+    return db
+
+
+def _appended(db: Database, run) -> tuple:
+    """*run*'s return value and the (kind, name) of each WAL record it
+    appended."""
+    seq = db.store.seq
+    out = run()
+    records = read_wal(db.store.wal_path).records
+    return out, [(r["kind"], r["data"].get("name")) for r in records if r["seq"] > seq]
+
+
+class TestExecutePipelinedRoute:
+    def test_ill_typed_script_runs_nothing(self, tmp_path):
+        path = str(tmp_path / "ill.db")
+        db = Database.open(path, fsync="off")
+        db.execute("create table Products(id integer)")
+        before = _wal_state(db)
+        with pytest.raises(TypeCheckError):
+            db.execute_pipelined(
+                "create table Z(id integer)\nselect nope from table Products"
+            )
+        assert "Z" not in db.catalog.tables
+        assert _wal_state(db) == before
+        db.close()
+        with Database.open(path, fsync="off") as again:
+            assert "Z" not in again.catalog.tables
+
+    def test_chunks_leave_nothing_in_the_store(self, tmp_path):
+        path = str(tmp_path / "pipe.db")
+        db = _social_store(path)
+        _, sequential = _appended(db, lambda: db.execute(BROAD_PAIR))
+        subgraphs = sorted(db.catalog.subgraphs), sorted(db.db.subgraphs)
+        (_, stats), pipelined = _appended(
+            db, lambda: db.execute_pipelined(BROAD_PAIR, num_chunks=4)
+        )
+        assert stats[0].chunks == 4  # the pair really ran fused
+        assert sequential == [("result_table", "T1")]
+        assert pipelined == sequential
+        assert (sorted(db.catalog.subgraphs), sorted(db.db.subgraphs)) == subgraphs
+        db.close()
+        with Database.open(path, fsync="off") as again:
+            assert "__pipeline_chunk_" not in str(again.schema())
+            assert (
+                sorted(again.catalog.subgraphs), sorted(again.db.subgraphs)
+            ) == subgraphs
