@@ -5,9 +5,10 @@
     intermediate results."
 
 A broad graph-select -> aggregation pair executed sequentially (full
-intermediate table) vs fused/chunked (only per-chunk rows + per-group
-partials live at once).  The space claim is the headline: peak
-materialized rows drop by ~the chunk count while results stay identical.
+intermediate table) vs fused/chunked (the consumer's aggregate sees one
+chunk of paths at a time).  The largest chunk drops by ~the chunk count
+while results stay identical; the registered intermediate still holds
+every path, so this does not yet bound the pair's space.
 """
 
 import pytest
@@ -49,7 +50,7 @@ def test_s3b1_pipelined_pair(benchmark, chunks):
     benchmark.extra_info["chunks"] = s.chunks
     benchmark.extra_info["total_paths"] = s.total_paths
     benchmark.extra_info["peak_partial_rows"] = s.peak_partial_rows
-    # the space claim: peak materialization well below the full table
+    # the consumer's largest chunk is well below the full path count
     assert s.peak_partial_rows < s.total_paths
     assert results[1].table.num_rows == 10
 

@@ -5,12 +5,13 @@
    LRU lookup.  Asserted: the hit path is >= 5x faster than the compile
    work it skips.
 2. **Concurrent serving**: read-only submissions share the catalog under
-   the read lock and run on the worker pool.  Asserted: with 8 workers a
-   batch of selects completes >= 2x faster than with 1 worker — gated on
+   the read lock, each on the thread that submitted it (as a
+   ``GraqlServer`` session does).  Asserted: 8 caller threads drain a
+   batch of selects >= 2x faster than 1 caller thread — gated on
    ``os.cpu_count() >= 2`` because a single hardware thread cannot run
-   two Python workers at once; on 1-core hosts the assertion degrades to
-   a sanity floor (the pool must not *lose* more than half its
-   single-worker throughput to coordination overhead).
+   two Python threads at once; on 1-core hosts the assertion degrades to
+   a sanity floor (8 threads must not *lose* more than half of one
+   thread's throughput to coordination overhead).
 
 Both halves also assert result correctness, so the benchmark doubles as
 a regression test under ``--benchmark-disable`` in CI.
@@ -19,6 +20,7 @@ a regression test under ``--benchmark-disable`` in CI.
 from __future__ import annotations
 
 import os
+import threading
 import time
 
 from repro import Database
@@ -45,8 +47,8 @@ QUERY = (
 )
 
 
-def _bench_db(serving_opts=None) -> Database:
-    db = Database(serving_opts=serving_opts)
+def _bench_db() -> Database:
+    db = Database()
     db.execute(DDL)
     db.ingest_rows(
         "People",
@@ -109,20 +111,36 @@ def test_cache_hit_beats_cold_compile(benchmark):
     benchmark.extra_info["speedup"] = round(speedup, 1)
 
 
-def _run_batch(db: Database, submissions: int) -> float:
-    """Wall-clock seconds to drain *submissions* pooled read queries."""
+def _run_batch(threads: int, submissions: int) -> float:
+    """Wall-clock seconds for *threads* caller threads to drain
+    *submissions* read queries through ``Server.submit``."""
+    db = _bench_db()
     server = db.server
     expected = db.query(QUERY).num_rows
+    counts: list[int] = []
+    errors: list[BaseException] = []
 
-    def one() -> int:
-        return db.query(QUERY).num_rows
+    def caller(share: int) -> None:
+        try:
+            for _ in range(share):
+                counts.append(server.submit("admin", QUERY)[0].table.num_rows)
+        except BaseException as e:  # noqa: BLE001 - re-raised below
+            errors.append(e)
 
-    t0 = time.perf_counter()
-    futures = [
-        server.submit_work("admin", False, one) for _ in range(submissions)
+    shares = [
+        submissions // threads + (i < submissions % threads)
+        for i in range(threads)
     ]
-    counts = [f.result(timeout=120) for f in futures]
+    workers = [threading.Thread(target=caller, args=(n,)) for n in shares]
+    t0 = time.perf_counter()
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(timeout=120)
     elapsed = time.perf_counter() - t0
+    assert not any(w.is_alive() for w in workers), "caller thread hung"
+    if errors:
+        raise errors[0]
     assert counts == [expected] * submissions
     server.close()
     return elapsed
@@ -130,32 +148,30 @@ def _run_batch(db: Database, submissions: int) -> float:
 
 def test_parallel_read_throughput(benchmark):
     submissions = 24
-    serial = _run_batch(_bench_db({"max_workers": 1, "max_queue": 64}), submissions)
-    pooled = _run_batch(_bench_db({"max_workers": 8, "max_queue": 64}), submissions)
-    speedup = serial / pooled
+    serial = _run_batch(1, submissions)
+    threaded = _run_batch(8, submissions)
+    speedup = serial / threaded
 
     cores = os.cpu_count() or 1
     if cores >= 2:
         assert speedup >= PARALLEL_SPEEDUP_FLOOR, (
-            f"8 workers only {speedup:.2f}x over 1 worker on {cores} cores "
+            f"8 caller threads only {speedup:.2f}x over 1 on {cores} cores "
             f"(floor {PARALLEL_SPEEDUP_FLOOR}x)"
         )
     else:
         # one hardware thread: parallel speedup is impossible, but the
-        # pool must not collapse under its own coordination
+        # server must not collapse under its own coordination
         assert speedup >= ONE_CORE_SANITY_FLOOR, (
-            f"8-worker pool at {speedup:.2f}x of single-worker throughput "
+            f"8 caller threads at {speedup:.2f}x of one thread's throughput "
             f"on a 1-core host (sanity floor {ONE_CORE_SANITY_FLOOR}x)"
         )
 
     def run():
-        return _run_batch(
-            _bench_db({"max_workers": 8, "max_queue": 64}), submissions
-        )
+        return _run_batch(8, submissions)
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info["cores"] = cores
     benchmark.extra_info["submissions"] = submissions
     benchmark.extra_info["serial_s"] = round(serial, 4)
-    benchmark.extra_info["pooled_s"] = round(pooled, 4)
+    benchmark.extra_info["threaded_s"] = round(threaded, 4)
     benchmark.extra_info["speedup"] = round(speedup, 2)

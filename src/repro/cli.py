@@ -8,7 +8,7 @@ Usage::
     graql serve 127.0.0.1:7687 --db ./shop.db
     graql recover ./shop.db [--verify]
     graql checkpoint ./shop.db
-    graql check script.graql [more.graql ...] [--jobs N] [--strict]
+    graql check script.graql [more.graql ...] [--strict]
     graql profile script.graql --demo berlin
     graql stats script.graql --demo berlin
     graql repl
@@ -27,9 +27,8 @@ and truncates the WAL.
 
 ``graql check`` statically analyzes without executing and exits 0 when
 clean, 1 when only warnings were found under ``--strict``, and 2 when
-errors were found (docs/ANALYSIS.md).  With several scripts and
-``--jobs N`` the checks run in parallel, each against its own catalog
-snapshot taken under the serving layer's read lock.
+errors were found (docs/ANALYSIS.md).  Each script is checked against
+its own catalog snapshot, taken under the serving layer's read lock.
 
 Execution commands talk to the database through the serving-layer
 client API (docs/API.md): one :class:`~repro.serve.Connection`, with
@@ -297,10 +296,10 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     """Statically analyze scripts; exit 0 clean / 1 warnings / 2 errors.
 
-    With ``--jobs N`` and several scripts, checks run on a thread pool;
-    each job analyzes against a :meth:`~repro.catalog.Catalog.scratch_copy`
-    taken under the server's catalog read lock, so a live server can keep
-    executing (even DDL) while scripts are being checked.
+    Each script is analyzed against a
+    :meth:`~repro.catalog.Catalog.scratch_copy` taken under the server's
+    catalog read lock, so a live server can keep executing (even DDL)
+    while scripts are being checked.
     """
     from repro.analysis import Analyzer
 
@@ -316,20 +315,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         except OSError as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
-    def check_one(source: str):
+    exit_code = 0
+    for path, source in sources:
         with db.server.lock.read_locked():
             catalog = db.catalog.scratch_copy()
-        return Analyzer(catalog).analyze(source, params or None)
-
-    if args.jobs > 1 and len(sources) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(check_one, (s for _, s in sources)))
-    else:
-        results = [check_one(s) for _, s in sources]
-    exit_code = 0
-    for (path, _), result in zip(sources, results):
+        result = Analyzer(catalog).analyze(source, params or None)
         if args.format == "json":
             print(result.to_json(path))
         else:
@@ -698,13 +688,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         "--strict",
         action="store_true",
         help="exit 1 when warnings are present (errors always exit 2)",
-    )
-    p_check.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="check scripts in parallel on N threads (catalog snapshots "
-        "are taken under the serving layer's read lock)",
     )
     p_check.add_argument(
         "--format", choices=["text", "json"], default="text", help="output format"

@@ -514,9 +514,7 @@ def thread_hygiene_pass(model: CodeModel) -> Iterator[DevDiagnostic]:
             # GDL033: a discarded future
             if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
                 call = node.value
-                if isinstance(call.func, ast.Attribute) and call.func.attr in (
-                    "submit", "submit_work"
-                ):
+                if isinstance(call.func, ast.Attribute) and call.func.attr == "submit":
                     yield _diag(
                         "GDL033",
                         "the returned future is discarded; a worker "

@@ -16,8 +16,10 @@ the entry point.
 The graph select enumerates its paths in **chunks** of the sweep-entry
 step's candidates, and each chunk's rows are filtered and partially
 aggregated for the consumer on the spot
-(:func:`~repro.storage.relops.partial_aggregates`), so only one chunk's
-paths and the per-group partials are live at a time.  The consumer
+(:func:`~repro.storage.relops.partial_aggregates`), so the consumer's
+aggregate sees one chunk at a time.  The producer still keeps every
+chunk's path table and registers their union as the ``into`` table, so
+every path is live at the end of the chunk loop.  The consumer
 merges the partials (:func:`~repro.storage.relops.merge_aggregates`) and
 finishes through the select tail a sequential run takes
 (:func:`~repro.query.relational.select_from_groups`).  A chunk restricts
@@ -72,7 +74,12 @@ _CHUNK_LABEL = "<chunk>"
 
 
 class PipelineStats:
-    """Space accounting for one fused pair."""
+    """Chunk counts for one fused pair.
+
+    ``peak_partial_rows`` is the largest chunk fed to the partial
+    aggregate.  It is not the pair's space: the registered ``into``
+    table still holds all ``total_paths`` rows.
+    """
 
     def __init__(self) -> None:
         self.chunks = 0

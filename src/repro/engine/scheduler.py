@@ -17,19 +17,20 @@ Dependencies are derived from named objects:
   (including a pseudo-object per dependent view, since ingest refreshes
   them atomically), and ``into table`` / ``into subgraph`` results.
 
-Statement *i* depends on the latest earlier statement whose writes
-intersect its reads (RAW), plus write-write ordering on the same object.
-The schedule is the DAG's topological wave decomposition; ``run_parallel``
-executes each wave with a thread pool (NumPy kernels release the GIL).
+Statement *i* depends on every earlier statement whose writes intersect
+its reads (read-after-write), its writes (write-after-write) or whose
+reads intersect its writes (write-after-read).  The schedule is the DAG's
+topological wave decomposition, shown by ``explain``; the analyzer's
+dead-statement pass (GQW120) reads the same effects.  Scripts execute in
+statement order: under the GIL a thread pool ran waves slower than
+serial, so wave execution waits for a multi-process backend.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Mapping, Optional
+from typing import Optional
 
 from repro.catalog import Catalog
-from repro.graph.graphdb import GraphDB
 from repro.graql.ast import (
     CreateEdge,
     CreateIndex,
@@ -45,7 +46,6 @@ from repro.graql.ast import (
     TableSelect,
     VertexStep,
 )
-from repro.query.executor import StatementResult, execute_statement
 from repro.storage.expr import col_refs
 
 
@@ -227,33 +227,3 @@ def build_schedule(script: Script, catalog: Optional[Catalog] = None) -> ScriptS
         waves[level[i]].append(i)
     return ScriptSchedule(script, deps, waves)
 
-
-def run_scheduled(
-    db: GraphDB,
-    catalog: Catalog,
-    script: Script,
-    params: Optional[Mapping[str, Any]] = None,
-    parallel: bool = True,
-    max_workers: int = 4,
-) -> tuple[list[StatementResult], ScriptSchedule]:
-    """Execute a script wave-by-wave.
-
-    Statements inside a wave have no mutual dependencies; with
-    ``parallel=True`` they run on a thread pool (the paper's "executed in
-    parallel (if there are enough processing and memory resources)").
-    Results are returned in statement order regardless of scheduling.
-    """
-    schedule = build_schedule(script, catalog)
-    results: list[Optional[StatementResult]] = [None] * len(script.statements)
-
-    def run_one(i: int) -> None:
-        results[i] = execute_statement(db, catalog, script.statements[i], params)
-
-    for wave in schedule.waves:
-        if parallel and len(wave) > 1:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                list(pool.map(run_one, wave))
-        else:
-            for i in wave:
-                run_one(i)
-    return [r for r in results if r is not None], schedule

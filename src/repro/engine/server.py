@@ -34,19 +34,19 @@ With ``workers`` set the backend is the simulated cluster of
 encode, verify, decode on the backend, then distributed execution
 (``ir_bytes_shipped``, ``compile_ir``/``decode_ir`` profile stages).
 
-The server is *shared*: admission control with a bounded queue
-(:class:`~repro.errors.ServerBusy` on overload), a writer-preferring
-reader-writer catalog lock (selects run concurrently, DDL/ingest
-serialize), a worker pool for asynchronous submissions, the plan cache
-and a replica read-only mode all live here.  Clients normally talk to it
-through :func:`repro.connect` (docs/API.md).
+The server is *shared*: admission control with a bound on in-flight
+submissions (:class:`~repro.errors.ServerBusy` on overload), a
+writer-preferring reader-writer catalog lock (selects run concurrently,
+DDL/ingest serialize), the plan cache and a replica read-only mode all
+live here.  Every submission runs on the thread that made it; the server
+starts no threads of its own.  Clients normally talk to it through
+:func:`repro.connect` (docs/API.md).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable, Mapping, Optional
 
 from repro.catalog import Catalog
@@ -55,7 +55,6 @@ from repro.errors import AccessError, ClosedError, NotPrimary
 from repro.graph.graphdb import GraphDB
 from repro.graql.ast import Script
 from repro.analysis.verifier import verify_statement_ir
-from repro.graql.compiler import CompiledProgram, compile_script
 from repro.graql.ir import decode_statement, encode_statement
 from repro.graql.params import substitute_statement
 from repro.graql.parser import parse_script
@@ -77,8 +76,7 @@ _ROLE_RANK = {ROLE_READER: 0, ROLE_WRITER: 1, ROLE_ADMIN: 2}
 
 #: defaults for the serving layer; overridable per Server via
 #: ``serving_opts``
-DEFAULT_MAX_WORKERS = 8
-DEFAULT_MAX_QUEUE = 32
+DEFAULT_MAX_IN_FLIGHT = 40
 DEFAULT_CACHE_CAPACITY = 128
 
 
@@ -110,10 +108,10 @@ class Server:
     distributed where the set-frontier strategy applies, completing the
     paper's client -> server -> backend-cluster picture.
 
-    ``serving_opts`` tunes the concurrency controls: ``max_workers``
-    (worker-pool size), ``max_queue`` (admission queue bound beyond the
-    workers), ``per_user_limit`` (in-flight submissions per user) and
-    ``cache_capacity`` (plan-cache entries).
+    ``serving_opts`` tunes the concurrency controls: ``max_in_flight``
+    (submissions admitted at once, server-wide), ``per_user_limit``
+    (in-flight submissions per user) and ``cache_capacity`` (plan-cache
+    entries).
     """
 
     def __init__(
@@ -148,21 +146,18 @@ class Server:
         #: guards the plain counters above under concurrent submits
         self._counter_lock = threading.Lock()
 
-        max_workers, max_queue, per_user_limit, cache_capacity = _serving_config(
+        max_in_flight, per_user_limit, cache_capacity = _serving_config(
             **dict(serving_opts or {})
         )
-        self.max_workers = max_workers
         #: the writer-preferring catalog lock: pure reads share it,
         #: anything with effects holds it exclusively
         self.lock = RWLock()
         self.admission = AdmissionController(
-            max_in_flight=max_workers + max_queue,
+            max_in_flight=max_in_flight,
             per_user_limit=per_user_limit,
             metrics=self.metrics,
         )
         self.cache = PlanCache(capacity=cache_capacity, metrics=self.metrics)
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_lock = threading.Lock()
         self._closed = False
         #: replica mode (docs/REPLICATION.md): writes are rejected with
         #: :class:`~repro.errors.NotPrimary` carrying the primary's URL
@@ -248,20 +243,6 @@ class Server:
 
         return connect(self, user, transport=transport)
 
-    def compile(
-        self,
-        username: str,
-        graql: "str | Script",
-        params: Optional[Mapping[str, Any]] = None,
-    ) -> CompiledProgram:
-        """Front-end work only: parse, substitute, check, encode."""
-        self._check_open()
-        self._require(username, ROLE_READER)
-        program = compile_script(graql, self.catalog, params)
-        for cs in program:
-            self._check_rights(username, cs.statement)
-        return program
-
     def submit(
         self,
         username: str,
@@ -288,32 +269,10 @@ class Server:
             username, self._script_job(username, graql, params, timeout_s, options)
         )
 
-    def submit_async(
-        self,
-        username: str,
-        graql: str,
-        params: Optional[Mapping[str, Any]] = None,
-        timeout_s: Optional[float] = None,
-        options: Optional[QueryOptions] = None,
-    ) -> "Future[list[StatementResult]]":
-        """:meth:`submit` on the worker pool; returns a
-        ``concurrent.futures.Future`` resolving to the result list.
-        Admission (including :class:`~repro.errors.ServerBusy`) happens
-        synchronously, before the future is created."""
-        return self._admitted_async(
-            username, self._script_job(username, graql, params, timeout_s, options)
-        )
-
     def run_work(self, user: str, write: bool, fn: Callable[[], Any]) -> Any:
         """Admit and run *fn* under the read or write lock, on this
         thread (direct ingest, checkpoints, prepared statements)."""
         return self._admitted(user, lambda: self._locked(write, fn))
-
-    def submit_work(
-        self, user: str, write: bool, fn: Callable[[], Any]
-    ) -> "Future[Any]":
-        """:meth:`run_work` on the worker pool; admission happens now."""
-        return self._admitted_async(user, lambda: self._locked(write, fn))
 
     def _script_job(self, username, graql, params, timeout_s, options):
         # cheap pre-check so a cache hit cannot bypass access control;
@@ -326,7 +285,7 @@ class Server:
         return lambda: self._run_script(username, graql, params, opts, timeout_s)
 
     # ------------------------------------------------------------------
-    # Admission, pool, locking
+    # Admission, locking
     # ------------------------------------------------------------------
     def _check_open(self) -> None:
         if self._closed:
@@ -336,24 +295,6 @@ class Server:
     def closed(self) -> bool:
         return self._closed
 
-    @property
-    def pool(self) -> ThreadPoolExecutor:
-        """The worker pool, created on first asynchronous submission
-        (keeps short-lived in-process databases from spawning threads).
-
-        Raises :class:`~repro.errors.ClosedError` once the server is
-        closed — recreating the pool after :meth:`close` drained it
-        would leak a zombie executor no one shuts down.
-        """
-        self._check_open()
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers,
-                    thread_name_prefix="graql-serve",
-                )
-            return self._pool
-
     def _admitted(self, user: str, fn: Callable[[], Any]) -> Any:
         self._check_open()
         ticket = self.admission.admit(user)
@@ -361,22 +302,6 @@ class Server:
             return fn()
         finally:
             self.admission.release(ticket)
-
-    def _admitted_async(self, user: str, fn: Callable[[], Any]) -> "Future[Any]":
-        self._check_open()
-        ticket = self.admission.admit(user)
-
-        def job() -> Any:
-            try:
-                return fn()
-            finally:
-                self.admission.release(ticket)
-
-        try:
-            return self.pool.submit(job)
-        except BaseException:
-            self.admission.release(ticket)
-            raise
 
     def _locked(self, write: bool, fn: Callable[[], Any]) -> Any:
         if write:
@@ -402,21 +327,13 @@ class Server:
         return out
 
     def close(self) -> None:
-        """Stop accepting submissions and drain the worker pool.
+        """Stop accepting submissions.
 
-        In-flight work completes; afterwards every submission raises
-        :class:`~repro.errors.ClosedError` instead of deadlocking on a
-        shut-down pool.  Idempotent.
+        Submissions already admitted run to completion on their own
+        threads; afterwards every submission raises
+        :class:`~repro.errors.ClosedError`.  Idempotent.
         """
         self._closed = True
-        # swap the pool out under the lock, drain it outside: shutdown
-        # blocks on in-flight work, and nothing that long may run under
-        # _pool_lock (a concurrent pool-property access would stall
-        # behind the whole drain)
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
 
     # ------------------------------------------------------------------
     # The statement pipeline
@@ -574,10 +491,9 @@ class Server:
 
 
 def _serving_config(
-    max_workers: int = DEFAULT_MAX_WORKERS,
-    max_queue: int = DEFAULT_MAX_QUEUE,
+    max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
     per_user_limit: Optional[int] = None,
     cache_capacity: int = DEFAULT_CACHE_CAPACITY,
 ) -> tuple:
     """Validate ``serving_opts`` keys (an unknown one is a TypeError)."""
-    return max_workers, max_queue, per_user_limit, cache_capacity
+    return max_in_flight, per_user_limit, cache_capacity

@@ -154,8 +154,8 @@ class Database:
         return self._server.run_work("admin", True, self._store.checkpoint)
 
     def close(self) -> None:
-        """Shut down: drain the server's worker pool, flush and close the
-        WAL.  Idempotent.  Afterwards every submission raises
+        """Shut down: stop the server admitting submissions, flush and
+        close the WAL.  Idempotent.  Afterwards every submission raises
         :class:`~repro.errors.ClosedError`."""
         if self._closed:
             return

@@ -141,10 +141,10 @@ class WalError(GraQLError):
 class ClosedError(ExecutionError):
     """Raised when a statement is submitted to a closed database.
 
-    ``Database.close()`` (or leaving a ``with`` block) drains the
-    serving layer's worker pool and flushes the WAL; afterwards every
-    submission fails fast with this error instead of deadlocking on a
-    shut-down pool at interpreter exit.
+    ``Database.close()`` (or leaving a ``with`` block) stops the server
+    admitting submissions and flushes the WAL; afterwards every
+    submission fails fast with this error instead of half-executing
+    against a closed store.
     """
 
 

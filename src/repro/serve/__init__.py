@@ -16,9 +16,10 @@ safe and fast in-process:
   in-process — all returning the same :class:`Connection` ABC.
 * :class:`RWLock` — the writer-preferring reader-writer catalog lock
   (selects run in parallel, DDL/ingest serialize), and
-  :class:`AdmissionController` — a bounded queue with per-user
-  in-flight limits (:class:`~repro.errors.ServerBusy` on overload);
-  the server owns one of each, plus a ``ThreadPoolExecutor`` pool.
+  :class:`AdmissionController` — a bound on in-flight submissions with
+  per-user limits (:class:`~repro.errors.ServerBusy` on overload); the
+  server owns one of each.  Every submission runs on the caller's
+  thread.
 * :class:`PlanCache` — statement cache keyed on (canonical script,
   parameter signature, catalog epoch); DDL/ingest bump the epoch, so
   stale plans can never execute.

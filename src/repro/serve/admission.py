@@ -1,14 +1,12 @@
 """Admission control for the shared server.
 
-Load shedding happens *before* work enters the pool: a submission is
-admitted only if (a) total in-flight work — running plus queued — is
-under ``max_workers + max_queue``, and (b) the submitting user is under
-their per-user in-flight limit.  Otherwise :class:`~repro.errors.ServerBusy`
-is raised immediately (backpressure the client can retry on), and the
-rejection is counted in the metrics registry.
-
-Tickets are explicit so a submission can be admitted on the caller's
-thread and released on the worker thread that finishes it.
+Load shedding happens *before* a submission takes the catalog lock: it
+is admitted only if (a) the submissions in flight server-wide — running
+or waiting for the lock — are under ``max_in_flight``, and (b) the
+submitting user is under their per-user in-flight limit.  Otherwise
+:class:`~repro.errors.ServerBusy` is raised immediately (backpressure the
+client can retry on), and the rejection is counted in the metrics
+registry.
 """
 
 from __future__ import annotations
@@ -31,12 +29,11 @@ class AdmissionTicket:
 
 
 class AdmissionController:
-    """Bounded-queue + per-user in-flight admission.
+    """Server-wide + per-user in-flight admission.
 
-    ``max_in_flight`` bounds running + queued submissions server-wide
-    (the worker pool runs at most ``max_workers`` of them; the rest wait
-    in the pool's queue).  ``per_user_limit`` bounds one user's in-flight
-    submissions so a single chatty client cannot monopolize the queue.
+    ``max_in_flight`` bounds the submissions running or waiting for the
+    catalog lock server-wide.  ``per_user_limit`` bounds one user's in-flight
+    submissions so a single chatty client cannot monopolize the server.
     """
 
     def __init__(

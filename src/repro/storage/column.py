@@ -9,7 +9,7 @@ and tests.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -134,8 +134,3 @@ class Column:
     def __repr__(self) -> str:
         return f"Column({self.dtype.ddl()}, n={len(self)})"
 
-
-def build_column(dtype: DataType, texts: Iterable[str]) -> Column:
-    """Parse an iterable of CSV fields into a column (ingest hot path)."""
-    parsed = [dtype.parse(t) for t in texts]
-    return Column.from_values(dtype, parsed)

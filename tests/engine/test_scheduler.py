@@ -3,7 +3,7 @@
 import pytest
 
 from repro.catalog import Catalog
-from repro.engine.scheduler import build_schedule, run_scheduled
+from repro.engine.scheduler import build_schedule
 from repro.graql.parser import parse_script
 from tests.conftest import build_social_db
 
@@ -126,35 +126,29 @@ class TestScheduleProperties:
         assert level[1] > level[0]
 
 
-class TestRunScheduled:
-    def run(self, parallel):
-        db = build_social_db()
-        script = parse_script(
-            """
-            select y.id from graph Person (country = 'US') --follows-->
-            def y: Person ( ) into table A
-            select y.id from graph Person (country = 'DE') --follows-->
-            def y: Person ( ) into table B
-            select id, count(*) as n from table A group by id into table CA
-            select id, count(*) as n from table B group by id into table CB
-            """
-        )
-        results, schedule = run_scheduled(
-            db.db, db.catalog, script, parallel=parallel
-        )
-        return results, schedule, db
+COUNTRY_SCRIPT = """
+select y.id from graph Person (country = 'US') --follows-->
+def y: Person ( ) into table A
+select y.id from graph Person (country = 'DE') --follows-->
+def y: Person ( ) into table B
+select id, count(*) as n from table A group by id into table CA
+select id, count(*) as n from table B group by id into table CB
+"""
 
+
+class TestCountryScript:
     def test_results_in_statement_order(self):
-        results, schedule, db = self.run(parallel=False)
+        db = build_social_db()
+        results = db.execute(COUNTRY_SCRIPT)
         assert len(results) == 4
         assert db.table("CA").num_rows > 0
-
-    def test_parallel_equals_serial(self):
-        r1, _, db1 = self.run(parallel=False)
-        r2, _, db2 = self.run(parallel=True)
-        assert sorted(db1.table("CA").to_rows()) == sorted(db2.table("CA").to_rows())
-        assert sorted(db1.table("CB").to_rows()) == sorted(db2.table("CB").to_rows())
+        for result, name in zip(results, ("A", "B", "CA", "CB")):
+            assert sorted(result.table.to_rows()) == sorted(
+                db.table(name).to_rows()
+            )
 
     def test_schedule_has_parallel_wave(self):
-        _, schedule, _ = self.run(parallel=False)
+        db = build_social_db()
+        schedule = build_schedule(parse_script(COUNTRY_SCRIPT), db.catalog)
         assert schedule.max_parallelism >= 2
+        assert schedule.waves == [[0, 1], [2, 3]]

@@ -105,12 +105,6 @@ class TestFrontEndPipeline:
         s.submit("reader1", "select * from table T")
         assert s.ir_bytes_shipped > before
 
-    def test_compile_only_has_no_effects(self, server):
-        program = server.compile("writer1", "create table Pure(id integer)")
-        assert len(program) == 1
-        assert program.total_ir_size > 0
-        assert "Pure" not in server.catalog.tables
-
     def test_params_through_server(self, server):
         server.backend.ingest_rows("T", [("a", 1), ("b", 2)])
         server.catalog.refresh(server.backend)

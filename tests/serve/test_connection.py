@@ -306,13 +306,6 @@ class TestServerConcurrencyControls:
         s.admission.release(ticket)
         assert s.submit("admin", PEOPLE_Q)[0].table.num_rows == 3
 
-    def test_submit_async_returns_future(self):
-        s = _social_server()
-        fut = s.submit_async("admin", PEOPLE_Q)
-        results = fut.result(timeout=30)
-        assert results[0].table.num_rows == 3
-        s.close()
-
     def test_cache_hit_cannot_bypass_access_control(self):
         s = _social_server()
         s.submit("admin", PEOPLE_Q)  # now cached
@@ -320,12 +313,15 @@ class TestServerConcurrencyControls:
             s.submit("ghost", PEOPLE_Q)
 
     def test_serving_opts_are_plumbed(self):
-        s = Server(serving_opts={"max_workers": 2, "max_queue": 3,
-                                 "per_user_limit": 2, "cache_capacity": 7})
-        assert s.max_workers == 2
+        s = Server(serving_opts={"max_in_flight": 5, "per_user_limit": 2,
+                                 "cache_capacity": 7})
         assert s.admission.max_in_flight == 5
         assert s.admission.per_user_limit == 2
         assert s.cache.capacity == 7
+        assert Server().admission.max_in_flight == 40
+        for removed in ("max_workers", "max_queue"):
+            with pytest.raises(TypeError, match=removed):
+                Server(serving_opts={removed: 1})
 
 
 class TestStatementKind:

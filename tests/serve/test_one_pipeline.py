@@ -1,7 +1,7 @@
 """Work-count and stage-parity guard for the one statement pipeline.
 
 Every adapter — ``Database.execute``, a connection onto a ``Server``,
-``Server.submit``/``submit_async``, a ``GraqlServer`` session behind a
+``Server.submit``, a ``GraqlServer`` session behind a
 ``RemoteConnection``, local and remote prepared statements — runs the
 same server pipeline, so each does the same front-end work and reports
 the same profile stages.  Counting only, no timing:
@@ -57,9 +57,6 @@ ADAPTERS = {
     "Database.execute": lambda env, q: lambda p: env.db.execute(q, p),
     "connect(Server)": lambda env, q: lambda p: connect(env.server).execute(q, p),
     "Server.submit": lambda env, q: lambda p: env.server.submit("admin", q, p),
-    "Server.submit_async": lambda env, q: (
-        lambda p: env.server.submit_async("admin", q, p).result(timeout=60)
-    ),
     "RemoteConnection": lambda env, q: lambda p: env.remote().execute(q, p),
     "PreparedStatement": lambda env, q: connect(env.server).prepare(q).execute,
     "RemotePreparedStatement": lambda env, q: env.remote().prepare(q).execute,

@@ -6,8 +6,7 @@ deterministic in outcome even though scheduling is not:
 * no lost updates — every writer's ingest lands exactly once;
 * no torn catalog reads — DDL pairs created in one script are visible
   atomically (both or neither), checked through ``Catalog.scratch_copy``
-  taken under the serving layer's read lock (the ``graql check --jobs``
-  path);
+  taken under the serving layer's read lock (the ``graql check`` path);
 * plan-cache invalidation — readers never observe row counts moving
   backwards while writers only append.
 """
@@ -108,45 +107,32 @@ def test_mixed_select_ddl_ingest_stress():
     assert r.table is not None
 
 
-def test_concurrent_async_submissions_through_pool():
-    """The worker-pool path: many async submits against one server."""
+def test_concurrent_submissions_from_caller_threads():
+    """Many threads submitting to one server, each on its own thread."""
     db = _build_db()
-    futures = [db.server.submit_async("admin", PEOPLE_Q) for _ in range(16)]
-    results = [f.result(timeout=60) for f in futures]
+    results: list = [None] * 16
+    start = threading.Barrier(len(results))
+
+    def caller(i: int) -> None:
+        start.wait(timeout=30)
+        results[i] = db.server.submit("admin", PEOPLE_Q)
+
+    threads = [
+        threading.Thread(target=caller, args=(i,)) for i in range(len(results))
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
     assert [r[0].table.num_rows for r in results] == [3] * 16
     db.server.close()
-
-
-def test_submit_work_runs_callback_under_read_lock():
-    """``submit_work`` callbacks run *inside* the catalog lock, so they
-    must not re-enter the engine (the RWLock rejects the nested
-    acquisition rather than risking a self-deadlock under writer
-    preference).  A callback that reads shared state directly works."""
-    db = _build_db()
-    server = db.server
-    futures = [
-        server.submit_work(
-            "admin", False, lambda: "People" in db.catalog.tables
-        )
-        for _ in range(8)
-    ]
-    assert [f.result(timeout=60) for f in futures] == [True] * 8
-    # a callback that re-enters the engine is rejected loudly instead
-    # of deadlocking
-    bad = server.submit_work("admin", False, lambda: db.query(PEOPLE_Q))
-    try:
-        bad.result(timeout=60)
-    except RuntimeError as e:
-        assert "reentrant" in str(e)
-    else:  # pragma: no cover
-        raise AssertionError("nested engine re-entry was not rejected")
-    server.close()
 
 
 def test_scratch_copy_while_writer_is_waiting():
     """Regression: ``scratch_copy`` under the read lock must snapshot a
     consistent catalog even while a writer thread is blocked waiting for
-    the write lock (the ``graql check --jobs`` scenario)."""
+    the write lock (the ``graql check`` scenario)."""
     db = _build_db()
     lock = db.server.lock
     writer_done = threading.Event()
