@@ -469,9 +469,12 @@ class Server:
                 # the parse needed for classification is all that remains
                 result.profile.cache_hit = True
                 self._record(result, [("cache", parse_ms)])
-                self.metrics.counter(
-                    "graql_statements_cached_total",
-                    "statements answered from the plan cache",
+                self.metrics.cached(
+                    "statements_cached",
+                    lambda: self.metrics.counter(
+                        "graql_statements_cached_total",
+                        "statements answered from the plan cache",
+                    ),
                 ).inc()
             results.append(result)
         return results

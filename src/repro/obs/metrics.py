@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 import threading
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Hashable, Mapping, Optional, Sequence, TypeVar
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -65,6 +65,7 @@ SIZE_BUCKETS: tuple[float, ...] = (
 )
 
 LabelKey = tuple[tuple[str, str], ...]
+_I = TypeVar("_I")
 
 
 def _label_key(labels: Optional[Mapping[str, str]]) -> LabelKey:
@@ -197,6 +198,12 @@ class MetricsRegistry:
         self._metrics: dict[str, tuple[str, str, dict[LabelKey, object]]] = {}
         # guards registration and iteration; instruments self-lock bumps
         self._lock = threading.Lock()
+        #: instruments a hot caller resolved once, under its own keys
+        #: (see :meth:`cached`); emptied with the registrations by clear()
+        self._handles: dict[Hashable, object] = {}
+        #: get-or-create lookups by name so far (the per-statement
+        #: recording path must make none once warm)
+        self.lookups = 0
 
     # ------------------------------------------------------------------
     # Instrument factories (get-or-create)
@@ -211,6 +218,7 @@ class MetricsRegistry:
     ):
         key = _label_key(labels)
         with self._lock:
+            self.lookups += 1
             if name not in self._metrics:
                 if not _NAME_RE.match(name):
                     raise ValueError(f"invalid metric name {name!r}")
@@ -254,6 +262,18 @@ class MetricsRegistry:
             "histogram", name, help_text, labels, lambda: Histogram(buckets)
         )
 
+    def cached(self, key: Hashable, make: Callable[[], _I]) -> _I:
+        """The instrument cached under *key*, resolved by ``make()`` on
+        first use: a caller on a hot path names its instruments once
+        instead of looking them up by name and label set every time.
+
+        No lock: ``make`` is a get-or-create of this registry, so two
+        threads racing on a cold key resolve the same instrument."""
+        inst = self._handles.get(key)
+        if inst is None:
+            inst = self._handles[key] = make()
+        return inst  # type: ignore[return-value]
+
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -268,6 +288,7 @@ class MetricsRegistry:
         """Drop every registration entirely."""
         with self._lock:
             self._metrics.clear()
+            self._handles.clear()
 
     def names(self) -> list[str]:
         with self._lock:

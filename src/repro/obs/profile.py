@@ -10,7 +10,8 @@ A :class:`QueryProfile` rides on every
   cluster backend;
 * **per-step estimated vs. actual cardinality** — the planner's
   frontier-recurrence estimates next to the sizes the executor really
-  produced, per atom and step, with both direction costs;
+  produced, per atom and step, with both direction costs and the
+  chosen direction's q-error (``max(est/actual, actual/est)``);
 * **executor counters** — edge-index lookups and edges scanned;
 * **distributed counters** (cluster runs) — per-superstep frontier
   sizes, bytes shipped, envelope/message counts, retries, failovers and
@@ -58,6 +59,16 @@ class StepProfile:
 
     def estimated(self, direction: str) -> Optional[float]:
         return self.est_forward if direction == "forward" else self.est_backward
+
+    def q_error(self, direction: str) -> Optional[float]:
+        """``max(est/actual, actual/est)`` of *direction*'s estimate, both
+        clamped to one row so an empty step stays finite; None until
+        the step has an estimate and an actual."""
+        est = self.estimated(direction)
+        if est is None or self.actual is None:
+            return None
+        est, actual = max(est, 1.0), max(float(self.actual), 1.0)
+        return max(est / actual, actual / est)
 
     def to_dict(self) -> dict:
         return {
@@ -124,7 +135,10 @@ class AtomProfile:
             "access": self.access,
             "access_est": self.access_est,
             "access_forced": self.access_forced,
-            "steps": [s.to_dict() for s in self.steps],
+            "steps": [
+                dict(s.to_dict(), q_error=s.q_error(self.direction))
+                for s in self.steps
+            ],
         }
 
 
@@ -256,9 +270,11 @@ class QueryProfile:
                 est = sp.estimated(ap.direction)
                 est_txt = f"{est:.1f}" if est is not None else "?"
                 actual_txt = str(sp.actual) if sp.actual is not None else "?"
+                q = sp.q_error(ap.direction)
+                q_txt = f"{q:.2f}" if q is not None else "?"
                 lines.append(
                     f"    step {sp.index} {sp.kind:<6} {sp.detail:<28} "
-                    f"est={est_txt:>10} actual={actual_txt:>8}"
+                    f"est={est_txt:>10} actual={actual_txt:>8} q={q_txt:>6}"
                 )
         if self.index_hits or self.edges_scanned:
             lines.append(
@@ -348,47 +364,69 @@ def record_profile_metrics(registry: MetricsRegistry, profile: QueryProfile) -> 
     Called at the session/server boundary after each statement, so every
     layer contributes through the profile instead of threading the
     registry through executor internals (metric names:
-    docs/OBSERVABILITY.md).
+    docs/OBSERVABILITY.md).  Instruments are resolved by name once per
+    registry (and statement kind, stage or strategy) and cached there:
+    a warm statement makes no get-or-create lookup.
     """
-    registry.counter(
-        "graql_statements_total",
-        "statements executed",
-        labels={"kind": profile.kind or "unknown"},
+    kind = profile.kind or "unknown"
+    registry.cached(
+        ("statements", kind),
+        lambda: registry.counter(
+            "graql_statements_total", "statements executed", labels={"kind": kind}
+        ),
     ).inc()
     for name, ms in profile.stages:
-        registry.histogram(
-            "graql_stage_seconds",
-            "per-stage wall time",
-            labels={"stage": name},
+        registry.cached(
+            ("stage", name),
+            lambda: registry.histogram(
+                "graql_stage_seconds", "per-stage wall time", labels={"stage": name}
+            ),
         ).observe(ms / 1000.0)
     if profile.index_hits:
-        registry.counter(
-            "graql_index_hits_total", "edge-index lookups"
+        registry.cached(
+            "index_hits",
+            lambda: registry.counter("graql_index_hits_total", "edge-index lookups"),
         ).inc(profile.index_hits)
     if profile.edges_scanned:
-        registry.counter(
-            "graql_edges_scanned_total", "edges touched by index lookups"
+        registry.cached(
+            "edges_scanned",
+            lambda: registry.counter(
+                "graql_edges_scanned_total", "edges touched by index lookups"
+            ),
         ).inc(profile.edges_scanned)
     if profile.attr_seeks:
-        registry.counter(
-            "graql_index_seeks_total", "secondary attribute-index seeks"
+        registry.cached(
+            "index_seeks",
+            lambda: registry.counter(
+                "graql_index_seeks_total", "secondary attribute-index seeks"
+            ),
         ).inc(profile.attr_seeks)
-        registry.counter(
-            "graql_index_seek_rows_total",
-            "candidate rows produced by attribute-index seeks",
+        registry.cached(
+            "index_seek_rows",
+            lambda: registry.counter(
+                "graql_index_seek_rows_total",
+                "candidate rows produced by attribute-index seeks",
+            ),
         ).inc(profile.attr_seek_rows)
     if profile.refresh is not None:
         record_refresh_metrics(registry, profile.refresh)
-    registry.histogram(
-        "graql_rows_out",
-        "result rows (tables) or vertices (subgraphs)",
-        buckets=SIZE_BUCKETS,
+    registry.cached(
+        "rows_out",
+        lambda: registry.histogram(
+            "graql_rows_out",
+            "result rows (tables) or vertices (subgraphs)",
+            buckets=SIZE_BUCKETS,
+        ),
     ).observe(float(profile.rows_out))
-    if profile.strategy:
-        registry.counter(
-            "graql_plans_total",
-            "planned graph selects",
-            labels={"strategy": profile.strategy},
+    strategy = profile.strategy
+    if strategy:
+        registry.cached(
+            ("plans", strategy),
+            lambda: registry.counter(
+                "graql_plans_total",
+                "planned graph selects",
+                labels={"strategy": strategy},
+            ),
         ).inc()
     d = profile.dist
     if d is not None:

@@ -10,10 +10,20 @@ steps left-to-right versus right-to-left.  The cost model is the classic
 frontier-size recurrence: starting from the anchor step's estimated
 cardinality (type cardinality x condition selectivity), each edge step
 multiplies by the catalog's average degree in the traversal direction and
-each vertex step filters by its selectivity.  The cheaper direction wins
+each vertex step filters by its selectivity.  A sweep costs every
+frontier it builds — the edges an expansion scans as well as the
+vertices that survive the next filter — so fanning out to many edges
+and filtering them back down is not cheap.  The cheaper direction wins
 unless ``force_direction`` pins one: that is how
 ``QueryOptions.direction`` reaches the planner (the S3B ablation
 benchmark uses it to measure what the reverse index buys).
+
+An ``and`` of atoms is a join of path atoms, run in the order of
+``RPattern.atoms()``; the planner costs them in that order too.  A label
+an earlier atom binds is a known, small input to the next: the executor
+pins a step that re-matches it (``o --vendor--> ...``) to the label's
+set, so the planner caps that step's estimate at the label's estimated
+set size instead of pricing a full type scan.
 
 Strategy choice: patterns that need per-path bindings (``foreach`` labels,
 cross-step attribute references, table outputs) run the binding-join
@@ -231,7 +241,10 @@ def _match_index(imeta, by_attr: dict, schema) -> Optional[tuple]:
 
 
 def _plan_anchor_access(
-    step: RVertexStep, catalog: Catalog, hints: Optional[Hints] = None
+    step: RVertexStep,
+    catalog: Catalog,
+    hints: Optional[Hints],
+    bound: dict[str, float],
 ) -> AccessPath:
     """Cost index-seek vs full scan for one atom anchor.
 
@@ -242,7 +255,7 @@ def _plan_anchor_access(
     n_total = sum(float(catalog.vertex(t).num_vertices) for t in step.types)
     scan = AccessPath(
         "scan", None, None, (), None,
-        est_rows=_vertex_cardinality(step, catalog),
+        est_rows=_vertex_cardinality(step, catalog, bound),
         cost=max(n_total, 1.0) * _SCAN_WEIGHT,
     )
     if len(step.types) != 1 or step.cond is None or step.cross_refs:
@@ -366,14 +379,18 @@ class QueryPlan:
         return f"QueryPlan(strategy={self.strategy}, atoms={len(self.atom_plans)})"
 
 
-def _vertex_cardinality(step: RVertexStep, catalog: Catalog) -> float:
+def _vertex_cardinality(
+    step: RVertexStep, catalog: Catalog, bound: dict[str, float]
+) -> float:
     """Estimated matches of a vertex step in isolation.
 
     Statically unsatisfiable conditions (the analyzer's GQW101 interval
     analysis) pin the estimate to zero instead of the selectivity guess,
     so a contradictory anchor makes its sweep direction maximally cheap —
     the executor then starts from the step that provably matches nothing
-    and terminates immediately.
+    and terminates immediately.  A step re-matching a label in *bound*
+    (label -> estimated set size, from earlier atoms) matches at most
+    that set.
     """
     if step.cond is not None and predicate_feasibility(step.cond) is False:
         return 0.0
@@ -388,6 +405,8 @@ def _vertex_cardinality(step: RVertexStep, catalog: Catalog) -> float:
         seeded = catalog.subgraphs.get(step.seed, {})
         cap = sum(seeded.get(t, 0) for t in step.types)
         total = min(total, float(cap)) if seeded else total
+    if step.label_ref in bound:
+        total = min(total, bound[step.label_ref])
     return max(total, 0.0)
 
 
@@ -410,7 +429,11 @@ def _edge_expansion(step: REdgeStep, catalog: Catalog, along_lexical: bool) -> f
 
 
 def _sweep_cost(
-    steps: list, catalog: Catalog, forward: bool, hints: Optional[Hints] = None
+    steps: list,
+    catalog: Catalog,
+    forward: bool,
+    hints: Optional[Hints],
+    bound: dict[str, float],
 ) -> tuple[float, list[float], AccessPath]:
     """Frontier-recurrence cost of sweeping an atom in one direction.
 
@@ -420,14 +443,16 @@ def _sweep_cost(
     step's estimate is the expanded frontier before the next vertex
     filter.  The anchor term is the access path's cost (index-seek or
     scan) plus the resulting frontier, so a direction whose anchor can
-    seek a selective index wins the recurrence.
+    seek a selective index wins the recurrence; every later frontier,
+    edge or vertex, adds its size.  Steps re-matching a label in *bound*
+    are capped at its estimated set size.
     """
     ordered = steps if forward else list(reversed(steps))
     first = ordered[0]
     if not isinstance(first, RVertexStep):  # pragma: no cover - grammar
         raise PlanError("path must start and end with vertex steps")
-    access = _plan_anchor_access(first, catalog, hints)
-    frontier = _vertex_cardinality(first, catalog)
+    access = _plan_anchor_access(first, catalog, hints, bound)
+    frontier = _vertex_cardinality(first, catalog, bound)
     estimates = [frontier]
     cost = access.cost + frontier
     i = 1
@@ -440,7 +465,10 @@ def _sweep_cost(
         else:
             assert isinstance(estep, REdgeStep)
             frontier *= max(_edge_expansion(estep, catalog, along_lexical=forward), 1e-3)
+            if estep.label_ref in bound:
+                frontier = min(frontier, bound[estep.label_ref])
         estimates.append(frontier)
+        cost += frontier
         assert isinstance(vstep, RVertexStep)
         selectivities = [
             estimate_selectivity(
@@ -452,7 +480,7 @@ def _sweep_cost(
         ] or [1.0]
         frontier *= max(selectivities)
         # frontier cannot exceed the step's own cardinality
-        frontier = min(frontier, max(_vertex_cardinality(vstep, catalog), 1e-3))
+        frontier = min(frontier, max(_vertex_cardinality(vstep, catalog, bound), 1e-3))
         estimates.append(frontier)
         cost += frontier
         i += 2
@@ -480,10 +508,16 @@ def plan_atom(
     catalog: Catalog,
     force_direction: Optional[Direction] = None,
     hints: Optional[Hints] = None,
+    bound: Optional[dict[str, float]] = None,
 ) -> AtomPlan:
-    """Choose the sweep direction (and anchor access path) for one atom."""
-    cf, est_f, acc_f = _sweep_cost(atom.steps, catalog, forward=True, hints=hints)
-    cb, est_b, acc_b = _sweep_cost(atom.steps, catalog, forward=False, hints=hints)
+    """Choose the sweep direction (and anchor access path) for one atom.
+
+    *bound* maps labels bound by earlier atoms to their estimated set
+    sizes; this atom's own labels are added to it.
+    """
+    bound = {} if bound is None else bound
+    cf, est_f, acc_f = _sweep_cost(atom.steps, catalog, True, hints, bound)
+    cb, est_b, acc_b = _sweep_cost(atom.steps, catalog, False, hints, bound)
     forced: Optional[str] = None
     hinted_f = acc_f is not None and acc_f.forced == "hint"
     hinted_b = acc_b is not None and acc_b.forced == "hint"
@@ -504,6 +538,10 @@ def plan_atom(
     # sweep-order estimates back onto original step positions
     step_est_forward = {i: e for i, e in enumerate(est_f)}
     step_est_backward = {n - 1 - i: e for i, e in enumerate(est_b)}
+    # a label's final set survives the sweep from both ends
+    for i, step in enumerate(atom.steps):
+        if isinstance(step, (RVertexStep, REdgeStep)) and step.label is not None:
+            bound[step.label.name] = min(step_est_forward[i], step_est_backward[i])
     return AtomPlan(
         atom, direction, cf, cb, step_est_forward, step_est_backward, forced,
         access_forward=acc_f, access_backward=acc_b,
@@ -548,6 +586,7 @@ def plan_graph_select(
             "cross-step references) and cannot run with the set strategy"
         )
     atom_plans: dict[int, AtomPlan] = {}
+    bound: dict[str, float] = {}
     for atom in pattern.atoms():
-        atom_plans[id(atom)] = plan_atom(atom, catalog, force_direction, hints)
+        atom_plans[id(atom)] = plan_atom(atom, catalog, force_direction, hints, bound)
     return QueryPlan(checked, strategy, atom_plans)

@@ -15,7 +15,7 @@ import threading
 from typing import Optional
 
 from repro.errors import ServerBusy
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Gauge, MetricsRegistry
 
 
 class AdmissionTicket:
@@ -26,6 +26,16 @@ class AdmissionTicket:
     def __init__(self, user: str) -> None:
         self.user = user
         self._released = False
+
+
+def _inflight_gauge(metrics: MetricsRegistry) -> Gauge:
+    return metrics.cached(
+        "inflight",
+        lambda: metrics.gauge(
+            "graql_inflight_submissions",
+            "submissions admitted and not yet finished",
+        ),
+    )
 
 
 class AdmissionController:
@@ -73,10 +83,7 @@ class AdmissionController:
             self._in_flight += 1
             self._per_user[user] = held + 1
             if self.metrics is not None:
-                self.metrics.gauge(
-                    "graql_inflight_submissions",
-                    "submissions admitted and not yet finished",
-                ).set(self._in_flight)
+                _inflight_gauge(self.metrics).set(self._in_flight)
         return AdmissionTicket(user)
 
     def release(self, ticket: AdmissionTicket) -> None:
@@ -91,10 +98,7 @@ class AdmissionController:
             else:
                 self._per_user[ticket.user] = left
             if self.metrics is not None:
-                self.metrics.gauge(
-                    "graql_inflight_submissions",
-                    "submissions admitted and not yet finished",
-                ).set(self._in_flight)
+                _inflight_gauge(self.metrics).set(self._in_flight)
 
     # ------------------------------------------------------------------
     @property

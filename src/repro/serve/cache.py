@@ -131,9 +131,13 @@ class PlanCache:
             return len(self._entries)
 
     def _count(self, which: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(
-                f"graql_plan_cache_{which}_total", f"plan cache {which}"
+        metrics = self.metrics
+        if metrics is not None:
+            metrics.cached(
+                ("plan_cache", which),
+                lambda: metrics.counter(
+                    f"graql_plan_cache_{which}_total", f"plan cache {which}"
+                ),
             ).inc()
 
     def __repr__(self) -> str:

@@ -14,14 +14,24 @@ The kernels are sort + adjacent-difference masks rather than
 Inputs that already hold the invariant — the common case — are detected
 by one vectorized comparison and not sorted again; two sorted runs are
 merged by the run-adaptive stable sort in linear time.  Membership of
-unsorted values (:func:`in_sorted`) is a bitmap lookup when the set's
-span is dense, else a binary search.  Nothing is cached: outputs are
-fresh arrays or the (immutable by convention) input.
+unsorted values (:func:`in_sorted`) is a bitmap lookup unless the inputs
+are tiny or the set's span dwarfs them, else a binary search.  Nothing
+is cached: outputs are fresh arrays or the (immutable by convention)
+input.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+#: :func:`in_sorted` answers from a bitmap over the set's span when the
+#: inputs hold at least ``_BITMAP_MIN_INPUT`` elements and the span is at
+#: most ``_BITMAP_SPAN_RATIO`` times that many (EXPERIMENTS.md IDSET-1:
+#: a binary search of unsorted values costs a cache miss per value and
+#: loses from a few hundred elements on, up to a span of ~100-200x the
+#: inputs; below that size the bitmap's fixed cost loses)
+_BITMAP_MIN_INPUT = 512
+_BITMAP_SPAN_RATIO = 64
 
 
 def _ascending(ids: np.ndarray) -> bool:
@@ -75,15 +85,17 @@ def in_sorted(values: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
     """Boolean mask: ``values[i]`` is in the sorted integer array
     *sorted_set* (*values* in any order).
 
-    Dense sets — vids and eids are small ranges — are looked up in a
-    bitmap over the set's span, which is at most one byte per input
-    element; sparse ones by ``searchsorted``.
+    Sets over a span of at most 64 times the inputs — vids and eids are
+    small ranges — are looked up in a bitmap over the span (at most 64
+    bytes per input element, freed on return); tiny inputs and sparse
+    sets by ``searchsorted``.
     """
     if len(sorted_set) == 0 or len(values) == 0:
         return np.zeros(len(values), dtype=bool)
     lo, hi = sorted_set[0], sorted_set[-1]
     span = int(hi) - int(lo) + 1
-    if span <= len(values) + len(sorted_set):
+    size = len(values) + len(sorted_set)
+    if _BITMAP_MIN_INPUT <= size and span <= _BITMAP_SPAN_RATIO * size:
         table = np.zeros(span, dtype=bool)
         table[sorted_set - lo] = True
         inside = (values >= lo) & (values <= hi)

@@ -1,5 +1,7 @@
 """QueryProfile unit tests: superstep cap, rendering, metric recording."""
 
+import sys
+import threading
 import time
 
 from repro.obs.metrics import MetricsRegistry
@@ -89,6 +91,29 @@ class TestRender:
         assert d["atoms"][0]["steps"][0]["actual"] == 5
         assert d["dist"] is None
         assert d["trace"] is None
+
+
+class TestQError:
+    def test_chosen_direction_ratio(self):
+        sp = StepProfile(0, "vertex", "OfferVtx", est_forward=4444.0,
+                         est_backward=900.0, actual=1042)
+        assert sp.q_error("forward") == 4444.0 / 1042
+        assert sp.q_error("backward") == 1042 / 900.0
+
+    def test_clamped_to_one_row_and_unknown_until_measured(self):
+        assert StepProfile(0, "vertex", "V", est_forward=0.0,
+                           actual=0).q_error("forward") == 1.0
+        assert StepProfile(0, "vertex", "V", est_forward=0.2,
+                           actual=3).q_error("forward") == 3.0
+        assert StepProfile(0, "vertex", "V", est_forward=2.0).q_error(
+            "forward") is None
+        assert StepProfile(0, "vertex", "V", actual=2).q_error(
+            "backward") is None
+
+    def test_rendered_and_exported(self):
+        p = _sample_profile()
+        assert "q=  1.20" in p.render()
+        assert p.to_dict()["atoms"][0]["steps"][0]["q_error"] == 6.0 / 5
 
 
 class TestRecordMetrics:
@@ -202,3 +227,60 @@ class TestViewRefresh:
         (result,) = db.execute("select count(*) as n from table Knows")
         assert result.profile.refresh is None
         assert "refresh:" not in result.profile.render()
+
+
+class TestWarmRecording:
+    """Once a registry has seen a statement shape, recording the next one
+    resolves no instrument by name: the handles are cached per registry
+    (a count, not a timing)."""
+
+    QUERIES = (
+        "select * from graph Person (country = 'US') --follows--> "
+        "def y: Person ( ) into subgraph GW",
+        "select y.name from graph Person (country = 'US') --follows--> "
+        "def y: Person ( )",
+        "select name from table People",
+    )
+
+    def test_no_lookups_per_statement_once_warm(self, social_db):
+        for q in self.QUERIES * 2:
+            social_db.execute(q)
+        warm = social_db.metrics.lookups
+        assert warm > 0
+        for q in self.QUERIES * 3:
+            social_db.execute(q)
+        assert social_db.metrics.lookups == warm
+
+    def test_clear_drops_cached_handles(self):
+        reg = MetricsRegistry()
+        record_profile_metrics(reg, _sample_profile())
+        reg.clear()
+        record_profile_metrics(reg, _sample_profile())
+        assert reg.value("graql_edges_scanned_total") == 17
+
+    def test_concurrent_recording_loses_no_update(self):
+        reg = MetricsRegistry()
+        threads, per_thread = 8, 200
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(
+                    target=lambda: [
+                        record_profile_metrics(reg, _sample_profile())
+                        for _ in range(per_thread)
+                    ]
+                )
+                for _ in range(threads)
+            ]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=30)
+            assert not any(w.is_alive() for w in workers)
+        finally:
+            sys.setswitchinterval(old)
+        n = threads * per_thread
+        assert reg.value("graql_statements_total", {"kind": "subgraph"}) == n
+        assert reg.value("graql_edges_scanned_total") == 17 * n
+        assert reg.get_histogram("graql_stage_seconds", {"stage": "plan"}).count == n

@@ -121,3 +121,34 @@ class TestCostModel:
         )
         plan = plan_graph_select(c, berlin_db.catalog)
         assert len(plan.atom_plans) == 2
+
+    def test_bound_label_caps_later_atom(self, social_db):
+        c = checked(
+            social_db,
+            "select * from graph Person (country = 'US') --follows--> "
+            "def p: Person ( ) and (p --follows--> Person ( )) "
+            "into subgraph G",
+        )
+        first_atom, second_atom = c.pattern.atoms()
+        plan = plan_graph_select(c, social_db.catalog)
+        first, second = plan.plan_for(first_atom), plan.plan_for(second_atom)
+        p_size = min(first.step_est_forward[2], first.step_est_backward[2])
+        assert second.step_est_forward[0] == p_size
+        # planned alone, the same atom prices p as a full type scan
+        alone = plan_atom(second_atom, social_db.catalog)
+        assert alone.step_est_forward[0] > p_size
+
+    def test_bound_edge_label_caps_later_edge_step(self, social_db):
+        c = checked(
+            social_db,
+            "select * from graph def a: Person (country = 'US') "
+            "--def f: follows--> Person ( ) and (a --f--> Person ( )) "
+            "into subgraph G",
+        )
+        first_atom, second_atom = c.pattern.atoms()
+        plan = plan_graph_select(c, social_db.catalog)
+        first, second = plan.plan_for(first_atom), plan.plan_for(second_atom)
+        f_size = min(first.step_est_forward[1], first.step_est_backward[1])
+        assert second.step_est_backward[1] == f_size
+        alone = plan_atom(second_atom, social_db.catalog)
+        assert alone.step_est_backward[1] > f_size

@@ -92,6 +92,36 @@ class TestIdSetKernels:
         got = idsets.in_sorted(values, np.sort(b))
         _same(got, np.isin(values, b))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_in_sorted_branches(self, data):
+        """Each branch of the bitmap-or-binary-search rule equals
+        ``np.isin``: ids off the set's ends, negative ids, empty and
+        one-element sets, unsorted values with repeats."""
+        branch = data.draw(st.sampled_from(("bitmap", "small", "sparse")))
+        base = data.draw(st.integers(-(10**6), 10**6))
+        stride = data.draw(st.integers(1, 4))
+        members = data.draw(st.lists(st.integers(0, 300), max_size=40, unique=True))
+        s = base + stride * _arr(sorted(members))
+        if branch == "sparse":
+            s = np.unique(np.concatenate((_arr([base]), s, _arr([base + 10**9]))))
+        picks = data.draw(
+            st.lists(st.integers(-20, 4 * 300 + 20), min_size=1, max_size=60)
+        )
+        values = base + _arr(picks)
+        if branch != "small":
+            values = np.tile(values, -(-idsets._BITMAP_MIN_INPUT // len(values)))
+        shuffle = np.random.default_rng(data.draw(st.integers(0, 99)))
+        values = values[shuffle.permutation(len(values))]
+        size = len(values) + len(s)
+        if len(s):
+            span = int(s[-1]) - int(s[0]) + 1
+            bitmap = size >= idsets._BITMAP_MIN_INPUT and (
+                span <= idsets._BITMAP_SPAN_RATIO * size
+            )
+            assert bitmap == (branch == "bitmap")
+        _same(idsets.in_sorted(values, s), np.isin(values, s))
+
     def test_results_hold_the_invariant(self):
         a, b = _big(1), _big(2)
         for out in (
