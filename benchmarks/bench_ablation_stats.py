@@ -31,6 +31,10 @@ def strip_stats(catalog):
     bare = copy.deepcopy(catalog)
     for vm in bare.vertices.values():
         vm.distinct_counts = {}
+        # the planner's selectivities come from the histogram column
+        # stats: drop the collected ones and the source of new ones
+        vm._stats_cache = {}
+        vm._stats_provider = None
     return bare
 
 

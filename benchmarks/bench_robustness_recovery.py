@@ -17,6 +17,7 @@ supersteps while failover only re-routes the dead worker's partitions.
 
 import pytest
 
+from repro import Server
 from repro.dist import Cluster, FaultInjector
 
 QUERY = (
@@ -98,8 +99,9 @@ def test_robustness_degraded_fallback_cost(benchmark, berlin_bench_db):
     """Breaker-open path: every statement answered single-node. The
     benchmark shows degraded service costs zero cluster traffic and
     stays correct — availability traded for the scaling win."""
-    db = berlin_bench_db
-    cluster = Cluster(db.db, 8, db.catalog, replication=2)
+    server = Server(backend=berlin_bench_db.db, workers=8,
+                    cluster_opts={"replication": 2})
+    cluster = server.cluster
     cluster.breaker.state = "open"
     cluster.breaker.opened_at = float("inf")  # keep it open for the run
 
@@ -107,7 +109,7 @@ def test_robustness_degraded_fallback_cost(benchmark, berlin_bench_db):
 
     def run():
         counter[0] += 1
-        return cluster.execute(QUERY.format(f"deg{counter[0]}"))[0]
+        return server.submit("admin", QUERY.format(f"deg{counter[0]}"))[0]
 
     result = benchmark(run)
     assert result.degraded

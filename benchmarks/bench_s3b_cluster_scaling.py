@@ -8,6 +8,7 @@ workers (aggregate-memory scaling) while communication grows with the cut.
 
 import pytest
 
+from repro import Server
 from repro.dist import Cluster
 
 QUERY = (
@@ -19,15 +20,15 @@ QUERY = (
 
 @pytest.mark.parametrize("workers", [1, 2, 4, 8, 16])
 def test_s3b_cluster_scaling(benchmark, berlin_bench_db, workers):
-    db = berlin_bench_db
-    cluster = Cluster(db.db, workers, db.catalog)
+    server = Server(backend=berlin_bench_db.db, workers=workers)
+    cluster = server.cluster
 
     counter = [0]
 
     def run():
         counter[0] += 1
         cluster.reset_stats()
-        return cluster.execute(QUERY.format(f"cs{workers}_{counter[0]}"))
+        return server.submit("admin", QUERY.format(f"cs{workers}_{counter[0]}"))
 
     results = benchmark(run)
     stats = cluster.comm_stats()

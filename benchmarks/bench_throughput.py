@@ -43,21 +43,12 @@ def test_throughput_mixed_workload(benchmark, berlin_bench_db, berlin_bench_data
 
 def test_throughput_parameter_reuse(benchmark, berlin_bench_db):
     """One template, many parameter bindings (prepared-statement style)."""
-    db = berlin_bench_db
-    from repro.graql.parser import parse_script
-
-    script = parse_script(QUERIES["berlin_q2"].graql)
-    from repro.query.executor import execute_statement
-
+    statement = berlin_bench_db.connect().prepare(QUERIES["berlin_q2"].graql)
     counter = [0]
 
     def run():
         counter[0] = (counter[0] + 1) % 50
-        params = {"Product1": f"product{counter[0]}"}
-        out = None
-        for stmt in script.statements:
-            out = execute_statement(db.db, db.catalog, stmt, params)
-        return out
+        return statement.execute({"Product1": f"product{counter[0]}"})[-1]
 
     result = benchmark(run)
     assert result.table.num_rows <= 10

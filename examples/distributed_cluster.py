@@ -5,7 +5,9 @@ with ample DRAM ... the database is primarily resident on the aggregated
 memory of the compute nodes".  This example partitions a Berlin database
 across 1..8 simulated workers and shows what the distributed executor
 measures: message counts, bytes moved, supersteps, per-worker load
-balance, and that results match the single-node engine exactly.
+balance, and that results match the single-node engine exactly.  Each
+cluster is the backend of a ``Server(workers=N)``: the server checks a
+script once and ships each statement to the cluster as IR.
 
 Run:  python examples/distributed_cluster.py [scale]
 """
@@ -15,6 +17,7 @@ import time
 
 import numpy as np
 
+from repro import Server
 from repro.dist import Cluster
 from repro.workloads.berlin import berlin_database
 
@@ -43,10 +46,10 @@ def main(scale: int = 500) -> None:
     print(f"\n{'workers':>8} {'time ms':>9} {'messages':>9} {'KB moved':>9} "
           f"{'supersteps':>10} {'imbalance':>9} {'identical':>9}")
     for workers in (1, 2, 4, 8):
-        cluster = Cluster(db.db, workers, db.catalog)
-        cluster.reset_stats()
+        server = Server(backend=db.db, workers=workers)
+        cluster = server.cluster
         t0 = time.perf_counter()
-        result = cluster.execute(QUERY)[0].subgraph
+        result = server.submit("admin", QUERY)[0].subgraph
         elapsed = (time.perf_counter() - t0) * 1e3
         stats = cluster.comm_stats()
         balance = cluster.edge_balance()

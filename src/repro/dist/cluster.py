@@ -8,10 +8,12 @@
 :class:`Cluster` wraps a fully-built :class:`~repro.graph.graphdb.GraphDB`
 with *n* workers: hash-partitioned vertex ownership, per-worker
 bidirectional edge-index shards, and a byte-accounting communicator.
-``run_graph_select`` executes set-semantics path queries with the
-distributed BSP executor; everything else transparently falls back to the
-single-node engine (and says so), because the paper's design also keeps
-the front-end free to choose where a query runs.
+It is the backend of the server's one statement pipeline: the front end
+parses, checks and ships each statement, and :meth:`Cluster.run`
+executes the checked resolution — set-semantics path queries with the
+distributed BSP executor (``run_graph_select``), everything else on the
+single-node engine, because the paper's design also keeps the front-end
+free to choose where a query runs.
 
 The cluster is fault-tolerant (docs/RELIABILITY.md): edge shards are
 placed with *k*-replica chained declustering
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Any, Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -40,10 +42,8 @@ from repro.dist.partition import Partitioner, Placement, build_edge_shards
 from repro.dist.recovery import CircuitBreaker, RecoveryStats
 from repro.errors import BackendError, DegradedMode
 from repro.graph.graphdb import GraphDB
-from repro.graql.ast import GraphSelect, INTO_SUBGRAPH, Statement
-from repro.graql.parser import parse_script
-from repro.graql.params import substitute_statement
-from repro.graql.typecheck import CheckedGraphSelect, check_statement
+from repro.graql.ast import INTO_SUBGRAPH, Statement
+from repro.graql.typecheck import CheckedGraphSelect
 from repro.obs.options import QueryOptions, resolve_options
 from repro.obs.profile import QueryProfile
 from repro.obs.trace import Tracer
@@ -51,7 +51,6 @@ from repro.query.executor import (
     StatementResult,
     _execute_graph_select,
     execute_checked,
-    execute_statement,
 )
 
 
@@ -107,65 +106,28 @@ class Cluster:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def execute(
+    def run(
         self,
-        graql: str,
-        params: Optional[Mapping[str, Any]] = None,
-        timeout_s: Optional[float] = None,
-        options: Optional[QueryOptions] = None,
-    ) -> list[StatementResult]:
-        """Execute a script, running set-semantics graph selects
-        distributed and everything else on the single-node engine."""
-        results = []
-        for stmt in parse_script(graql).statements:
-            results.append(
-                self.execute_statement(
-                    stmt, params, timeout_s=timeout_s, options=options
-                )
-            )
-        return results
-
-    def execute_statement(
-        self,
-        stmt: Statement,
-        params: Optional[Mapping[str, Any]] = None,
-        timeout_s: Optional[float] = None,
-        options: Optional[QueryOptions] = None,
-    ) -> StatementResult:
-        opts = resolve_options(options)
-        if timeout_s is None:
-            timeout_s = opts.timeout
-        if params:
-            stmt = substitute_statement(stmt, params)
-        if isinstance(stmt, GraphSelect):
-            checked = check_statement(stmt, self.catalog)
-            assert isinstance(checked, CheckedGraphSelect)
-            if (
-                not checked.pattern.needs_bindings
-                and not checked.pattern.has_regex
-                and not checked.pattern.has_edge_labels
-                and opts.strategy != "bindings"
-            ):
-                if stmt.into is None or stmt.into.kind == INTO_SUBGRAPH:
-                    return self._run_distributed_or_degrade(
-                        checked, timeout_s, opts
-                    )
-        result = execute_statement(self.db, self.catalog, stmt, options=opts)
-        if result.kind.is_write:
-            self.rebuild()
-        return result
-
-    # ------------------------------------------------------------------
-    # Degradation policy: breaker-gated distributed attempt, verified
-    # single-node fallback ("the server is free to choose where a query
-    # runs" — under faults, it chooses the node that still works)
-    # ------------------------------------------------------------------
-    def _run_distributed_or_degrade(
-        self,
-        checked: CheckedGraphSelect,
-        timeout_s: Optional[float],
+        checked: "Statement | CheckedGraphSelect",
         opts: QueryOptions,
+        timeout_s: Optional[float],
     ) -> StatementResult:
+        """Execute one statement the front end has already substituted
+        and checked: a set-semantics graph select is swept distributed,
+        everything else runs on the single-node engine (re-sharding
+        after a write).
+
+        Degradation policy: the distributed attempt is breaker-gated,
+        and a failed or refused one falls back to verified single-node
+        execution ("the server is free to choose where a query runs" —
+        under faults, it chooses the node that still works), or raises
+        :class:`~repro.errors.DegradedMode` when fallback is disabled.
+        """
+        if not _sweeps_distributed(checked, opts):
+            result = execute_checked(self.db, self.catalog, checked, opts)
+            if result.kind.is_write:
+                self.rebuild()
+            return result
         if self.breaker.allow():
             try:
                 result = self.run_graph_select(
@@ -305,3 +267,16 @@ class Cluster:
 
     def __repr__(self) -> str:
         return f"Cluster(workers={self.num_workers}, {self.db!r})"
+
+
+def _sweeps_distributed(checked, opts: QueryOptions) -> bool:
+    """True for a graph select the set-frontier sweep can answer: no
+    per-path bindings, regex closure or edge labels, and a subgraph (or
+    no) ``into``."""
+    if not isinstance(checked, CheckedGraphSelect) or opts.strategy == "bindings":
+        return False
+    pattern, into = checked.pattern, checked.stmt.into
+    return (
+        not (pattern.needs_bindings or pattern.has_regex or pattern.has_edge_labels)
+        and (into is None or into.kind == INTO_SUBGRAPH)
+    )

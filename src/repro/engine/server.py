@@ -30,9 +30,11 @@ whichever adapter submitted it — :meth:`Server.submit`, an in-process
    (:mod:`repro.engine.pipeline`, Section III-B1).
 
 With ``workers`` set the backend is the simulated cluster of
-:mod:`repro.dist`, and step 4 ships each statement to it as binary IR:
-encode, verify, decode on the backend, then distributed execution
-(``ir_bytes_shipped``, ``compile_ir``/``decode_ir`` profile stages).
+:mod:`repro.dist`, and step 4 ships each statement to it as binary IR
+(encode, verify, decode on the backend: ``ir_bytes_shipped``,
+``compile_ir``/``decode_ir`` profile stages); the cluster then runs the
+statement's checked resolution, distributed where the set-frontier
+strategy applies (:meth:`~repro.dist.Cluster.run`).
 
 The server is *shared*: admission control with a bound on in-flight
 submissions (:class:`~repro.errors.ServerBusy` on overload), a
@@ -104,9 +106,10 @@ class Server:
     """Front-end server: accounts + catalog + the statement pipeline.
 
     With ``workers`` set, the backend is the simulated cluster
-    (:class:`repro.dist.Cluster`): IR-decoded statements execute
-    distributed where the set-frontier strategy applies, completing the
-    paper's client -> server -> backend-cluster picture.
+    (:class:`repro.dist.Cluster`, built from ``cluster_opts``): each
+    checked statement is shipped to it as IR and executes distributed
+    where the set-frontier strategy applies, completing the paper's
+    client -> server -> backend-cluster picture.
 
     ``serving_opts`` tunes the concurrency controls: ``max_in_flight``
     (submissions admitted at once, server-wide), ``per_user_limit``
@@ -413,7 +416,7 @@ class Server:
                 checked[i] = check_statement(stmt, self.catalog)
                 stages.append(("typecheck", _ms_since(t0)))
             if self.cluster is not None:
-                result = self._ship(stmt, opts, timeout_s, stages)
+                result = self._ship(stmt, checked[i], opts, timeout_s, stages)
             else:
                 run = fused.get(i, execute_checked)
                 result = run(self.backend, self.catalog, checked[i], opts)
@@ -425,11 +428,17 @@ class Server:
     def _ship(
         self,
         stmt,
+        checked,
         opts: QueryOptions,
         timeout_s: Optional[float],
         stages: list,
     ) -> StatementResult:
-        """Ship one statement to the backend cluster as binary IR."""
+        """Ship one checked statement to the backend cluster as binary IR.
+
+        The backend executes the front end's resolution rather than
+        re-checking the decoded copy: the verifier checks the bytes
+        against the same catalog, and ``decode(encode(s)) == s``.
+        """
         t0 = time.perf_counter()
         ir = encode_statement(stmt)
         # last line of defense before the backend decodes blindly:
@@ -439,11 +448,9 @@ class Server:
         with self._counter_lock:
             self.ir_bytes_shipped += len(ir)
         t0 = time.perf_counter()
-        decoded = decode_statement(ir)  # backend-side decode
+        decode_statement(ir)  # backend-side decode
         stages.append(("decode_ir", _ms_since(t0)))
-        result = self.cluster.execute_statement(
-            decoded, timeout_s=timeout_s, options=opts
-        )
+        result = self.cluster.run(checked, opts, timeout_s)
         if result.degraded:
             with self._counter_lock:
                 self.degraded_statements += 1

@@ -73,14 +73,6 @@ class Subgraph:
             edges[k] = idsets.union(self.edge_ids(k), other.edge_ids(k))
         return Subgraph(name or self.name, vertices, edges)
 
-    def intersect_vertices(self, other: "Subgraph", name: str | None = None) -> "Subgraph":
-        vertices: dict[str, np.ndarray] = {}
-        for k in set(self.vertices) & set(other.vertices):
-            common = idsets.intersect(self.vertex_ids(k), other.vertex_ids(k))
-            if len(common):
-                vertices[k] = common
-        return Subgraph(name or self.name, vertices, {})
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subgraph):
             return NotImplemented

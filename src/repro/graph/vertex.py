@@ -283,25 +283,6 @@ class VertexType:
         mask = evaluate_predicate(cond, env)
         return candidates[mask]
 
-    def env_for(self, vids: np.ndarray, qualifier_names: tuple[str, ...] = ()) -> Env:
-        """An expression environment over the given vids.
-
-        Accepts unqualified references and any qualifier in
-        *qualifier_names* (the step's own type/label names).
-        """
-        allowed = set(qualifier_names) | {None, self.name}
-
-        def resolver(qualifier: str | None, name: str):
-            if qualifier not in allowed:
-                raise TypeCheckError(
-                    f"cannot resolve qualifier {qualifier!r} on vertex type "
-                    f"{self.name!r}"
-                )
-            arr, dtype = self.attribute_array(name)
-            return arr[vids], dtype
-
-        return Env(resolver, len(vids))
-
     def __repr__(self) -> str:
         kind = "1:1" if self.one_to_one else "N:1"
         return (

@@ -2,8 +2,8 @@
 
 :class:`QueryOptions` replaces the ad-hoc ``force_direction`` /
 ``force_strategy`` string kwargs that used to be threaded through
-:class:`~repro.engine.session.Database`, ``Server.submit`` and
-:func:`~repro.query.executor.execute_statement`.  One frozen dataclass
+:class:`~repro.engine.session.Database`, ``Server.submit`` and the
+executor.  One frozen dataclass
 rides the whole pipeline — session -> server -> executor -> cluster —
 so planner pins, timeout budgets and observability switches compose
 instead of growing one kwarg per layer.

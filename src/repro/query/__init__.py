@@ -18,12 +18,11 @@ catalog statistics per Section III-B — the traversal direction, exploiting
 the existence of both forward and reverse edge indexes.
 """
 
-from repro.query.executor import StatementResult, execute_statement
+from repro.query.executor import StatementResult
 from repro.query.explain import ExplainReport, PlanNode, StatementPlan
 from repro.query.planner import AccessPath, AtomPlan, QueryPlan, plan_graph_select
 
 __all__ = [
-    "execute_statement",
     "StatementResult",
     "plan_graph_select",
     "QueryPlan",

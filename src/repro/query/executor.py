@@ -5,10 +5,11 @@ Dispatches every GraQL statement kind against a
 pair, and implements multi-path composition (Section II-B3):
 
 * ``and`` — atoms share labels.  Under set semantics the atoms run
-  left-to-right sharing a label environment, then a short fixpoint
-  iteration re-culls each atom with the intersection of every label's
-  defining and referencing sets (so a constraint discovered in the right
-  path propagates back into the left path's matched subgraph).  Under
+  left-to-right sharing a label environment, then a fixpoint iteration
+  re-culls each atom with the intersection of every label's defining and
+  referencing sets until no label's set shrinks (so a constraint
+  discovered in the right path propagates back into the left path's
+  matched subgraph, however long the label chain).  Under
   binding semantics the atoms' path tables are equi-joined on the shared
   label columns.
 * ``or`` — the union of the matched subgraphs.
@@ -19,7 +20,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from enum import Enum
-from typing import Any, Iterator, Mapping, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -36,18 +37,15 @@ from repro.graql.ast import (
     GraphSelect,
     Ingest,
     INTO_SUBGRAPH,
-    Script,
     Statement,
     TableSelect,
 )
-from repro.graql.params import substitute_statement
 from repro.graql.typecheck import (
     CheckedGraphSelect,
     RAtom,
     REdgeStep,
     RRegex,
     RVertexStep,
-    check_statement,
 )
 from repro.obs.options import QueryOptions, resolve_options
 from repro.obs.profile import AtomProfile, QueryProfile, StepProfile
@@ -65,9 +63,6 @@ from repro.query.results import (
 )
 from repro.storage import idsets
 from repro.storage.table import Table
-
-#: max and-composition refinement rounds under set semantics
-MAX_REFINE_ROUNDS = 4
 
 
 @contextmanager
@@ -186,26 +181,6 @@ class StatementResult:
 # Statement dispatch
 # ----------------------------------------------------------------------
 
-def execute_statement(
-    db: GraphDB,
-    catalog: Catalog,
-    stmt: Statement,
-    params: Optional[Mapping[str, Any]] = None,
-    options: Optional[QueryOptions] = None,
-) -> StatementResult:
-    """Type-check and execute one statement (parameters substituted first).
-
-    ``options`` is the typed execution API
-    (:class:`~repro.obs.QueryOptions`).  Unless ``options.profile`` is
-    off, the returned result carries a :class:`~repro.obs.QueryProfile`.
-    """
-    opts = resolve_options(options)
-    profile = QueryProfile() if opts.profile else None
-    tracer = Tracer() if (opts.trace and profile is not None) else None
-    result = _dispatch_statement(db, catalog, stmt, params, opts, profile, tracer)
-    return result.attach_profile(profile, tracer)
-
-
 def execute_checked(
     db: GraphDB,
     catalog: Catalog,
@@ -227,23 +202,6 @@ def execute_checked(
     stmt = checked.stmt if isinstance(checked, CheckedGraphSelect) else checked
     result = _execute_resolved(db, catalog, stmt, checked, opts, profile, tracer)
     return result.attach_profile(profile, tracer)
-
-
-def _dispatch_statement(
-    db: GraphDB,
-    catalog: Catalog,
-    stmt: Statement,
-    params: Optional[Mapping[str, Any]],
-    opts: QueryOptions,
-    profile: Optional[QueryProfile],
-    tracer: Optional[Tracer],
-) -> StatementResult:
-    if params:
-        with _stage("substitute", profile, tracer):
-            stmt = substitute_statement(stmt, params)
-    with _stage("typecheck", profile, tracer):
-        checked = check_statement(stmt, catalog)
-    return _execute_resolved(db, catalog, stmt, checked, opts, profile, tracer)
 
 
 def _execute_resolved(
@@ -505,9 +463,14 @@ def _run_set(
 
     run_all()
     # refinement: intersect each label's defining set with every
-    # referencing step's final set; rerun until stable
+    # referencing step's final set; rerun until no label's set shrinks.
+    # Each round moves a constraint one atom along a label chain, so
+    # the rounds needed grow with the chain's length.  The loop
+    # ends: a round repeats only when some pinned label set strictly
+    # shrinks, and pins only ever narrow (every rerun is restricted to
+    # the previous pins).
     pairs = _label_def_ref_pairs(atoms, ordinals)
-    for _ in range(MAX_REFINE_ROUNDS):
+    while True:
         changed = False
         for label, (d_ord, d_pos), refs in pairs:
             def_sets = results[d_ord].vertex_sets.get(d_pos, {})
@@ -519,7 +482,7 @@ def _run_set(
                     for t, v in refined.items()
                 }
             refined = {t: v for t, v in refined.items() if len(v)}
-            if _sizes(refined) != _sizes(def_sets):
+            if _size(refined) < _size(def_sets):
                 fx.pin_labels[label] = refined
                 changed = True
         if not changed:
@@ -529,8 +492,8 @@ def _run_set(
     return results
 
 
-def _sizes(sets) -> dict[str, int]:
-    return {t: len(v) for t, v in sets.items()}
+def _size(sets) -> int:
+    return sum(len(v) for v in sets.values())
 
 
 def _label_def_ref_pairs(atoms, ordinals):

@@ -348,10 +348,6 @@ class AtomPlan:
             else self.access_backward
         )
 
-    def step_estimates(self, direction: Optional[Direction] = None) -> dict[int, float]:
-        d = direction or self.direction
-        return self.step_est_forward if d == "forward" else self.step_est_backward
-
     def __repr__(self) -> str:
         return (
             f"AtomPlan({self.direction}, fwd={self.cost_forward:.1f}, "

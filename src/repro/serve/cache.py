@@ -117,14 +117,6 @@ class PlanCache:
         with self._lock:
             self._entries.clear()
 
-    def drop_stale(self, current_epoch: int) -> int:
-        """Evict entries checked against an older catalog epoch."""
-        with self._lock:
-            stale = [k for k, e in self._entries.items() if e.epoch != current_epoch]
-            for k in stale:
-                del self._entries[k]
-            return len(stale)
-
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         with self._lock:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import Server
 from repro.dist import Cluster
 from repro.dist.partition import Partitioner, build_edge_shards
 
@@ -65,8 +66,8 @@ class TestDistributedEquality:
     def test_matches_single_node(self, social_db, workers, qidx):
         q = QUERIES[qidx]
         ref = social_db.execute(q.format(f"L{workers}{qidx}"))[0].subgraph
-        cluster = Cluster(social_db.db, workers, social_db.catalog)
-        got = cluster.execute(q.format(f"D{workers}{qidx}"))[0].subgraph
+        server = Server(backend=social_db.db, workers=workers)
+        got = server.submit("admin", q.format(f"D{workers}{qidx}"))[0].subgraph
         assert subgraphs_equal(ref, got)
 
     def test_and_composition_distributed(self, social_db):
@@ -74,13 +75,14 @@ class TestDistributedEquality:
              "--follows--> Person ( ) and (x --livesIn--> City ( )) "
              "into subgraph {}")
         ref = social_db.execute(q.format("LA"))[0].subgraph
-        cluster = Cluster(social_db.db, 3, social_db.catalog)
-        got = cluster.execute(q.format("DA"))[0].subgraph
+        server = Server(backend=social_db.db, workers=3)
+        got = server.submit("admin", q.format("DA"))[0].subgraph
         assert subgraphs_equal(ref, got)
 
     def test_bindings_fall_back_to_local(self, social_db):
-        cluster = Cluster(social_db.db, 2, social_db.catalog)
-        results = cluster.execute(
+        server = Server(backend=social_db.db, workers=2)
+        results = server.submit(
+            "admin",
             "select y.id from graph Person ( ) --follows--> def y: "
             "Person ( ) into table TD"
         )
@@ -94,10 +96,10 @@ class TestMetrics:
              "into subgraph M{}")
         counts = []
         for w in (1, 2, 4):
-            cluster = Cluster(social_db.db, w, social_db.catalog)
-            cluster.reset_stats()
-            cluster.execute(q.format(w))
-            counts.append(cluster.comm_stats()["messages"])
+            server = Server(backend=social_db.db, workers=w)
+            server.cluster.reset_stats()
+            server.submit("admin", q.format(w))
+            counts.append(server.cluster.comm_stats()["messages"])
         assert counts[0] == 0  # single worker: everything local
         assert counts[1] <= counts[2]
 
@@ -114,9 +116,8 @@ class TestMetrics:
         assert len(mem) == 4 and all(m > 0 for m in mem)
 
     def test_ddl_through_cluster_reshards(self, social_db):
-        cluster = Cluster(social_db.db, 2, social_db.catalog)
-        cluster.execute_statement(
-            __import__("repro.graql.parser", fromlist=["parse_statement"])
-            .parse_statement("create table Zed(id integer)")
-        )
-        assert "Zed" in cluster.catalog.tables
+        server = Server(backend=social_db.db, workers=2)
+        shards = server.cluster.shards
+        server.submit("admin", "create table Zed(id integer)")
+        assert "Zed" in server.cluster.catalog.tables
+        assert server.cluster.shards is not shards  # rebuilt after the DDL

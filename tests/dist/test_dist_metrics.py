@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dist import Cluster
+from repro import Server
 from repro.dist.comm import Communicator
 from repro.dist.dist_query import DistFrontierExecutor
 from repro.dist.partition import Partitioner, build_edge_shards
@@ -55,8 +55,8 @@ class TestEdgeConditionsDistributed:
         q = ("select * from graph Person ( ) --follows(weight > 4)--> "
              "Person ( ) into subgraph {}")
         ref = social_db.execute(q.format("L"))[0].subgraph
-        cluster = Cluster(social_db.db, 3, social_db.catalog)
-        got = cluster.execute(q.format("D"))[0].subgraph
+        server = Server(backend=social_db.db, workers=3)
+        got = server.submit("admin", q.format("D"))[0].subgraph
         assert {k: v.tolist() for k, v in ref.edges.items()} == {
             k: v.tolist() for k, v in got.edges.items()
         }
@@ -71,8 +71,8 @@ class TestSeedsDistributed:
         q = ("select * from graph SeedD.Person ( ) --follows--> Person ( ) "
              "into subgraph {}")
         ref = social_db.execute(q.format("L2"))[0].subgraph
-        cluster = Cluster(social_db.db, 2, social_db.catalog)
-        got = cluster.execute(q.format("D2"))[0].subgraph
+        server = Server(backend=social_db.db, workers=2)
+        got = server.submit("admin", q.format("D2"))[0].subgraph
         assert ref == got or (
             {k: v.tolist() for k, v in ref.vertices.items()}
             == {k: v.tolist() for k, v in got.vertices.items()}
@@ -91,8 +91,9 @@ class TestRegexRefused:
             fx.run_atom(atom)
 
     def test_cluster_falls_back_for_regex(self, social_db):
-        cluster = Cluster(social_db.db, 2, social_db.catalog)
-        r = cluster.execute(
+        server = Server(backend=social_db.db, workers=2)
+        r = server.submit(
+            "admin",
             "select * from graph Person ( ) ( --follows--> [ ] )+ "
             "Person ( ) into subgraph RF"
         )[0]
@@ -106,10 +107,10 @@ class TestSuperstepAccounting:
         for hops, expected in ((1, 2), (2, 4)):
             pattern = " --follows--> Person ( )" * hops
             q = f"select * from graph Person ( ){pattern} into subgraph S{hops}"
-            cluster = Cluster(social_db.db, 3, social_db.catalog)
-            cluster.reset_stats()
-            cluster.execute(q)
-            assert cluster.comm_stats()["supersteps"] == expected
+            server = Server(backend=social_db.db, workers=3)
+            server.cluster.reset_stats()
+            server.submit("admin", q)
+            assert server.cluster.comm_stats()["supersteps"] == expected
 
 
 class TestCommPinned:
@@ -143,9 +144,9 @@ class TestCommPinned:
         self, build, query, messages, nbytes, supersteps, per_step
     ):
         db = build()
-        cluster = Cluster(db.db, 3, db.catalog)
-        result = cluster.execute(query)[0]
-        stats = cluster.comm_stats()
+        server = Server(backend=db.db, workers=3)
+        result = server.submit("admin", query)[0]
+        stats = server.cluster.comm_stats()
         assert (stats["messages"], stats["bytes"], stats["supersteps"]) == (
             messages, nbytes, supersteps
         )

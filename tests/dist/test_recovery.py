@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import Server
 from repro.dist import CircuitBreaker, Cluster, FaultInjector, Placement
 from repro.dist.recovery import CLOSED, HALF_OPEN, OPEN, RecoveryStats
 from repro.errors import DegradedMode, WorkerFailed
@@ -110,9 +111,10 @@ class TestClusterRecovery:
     def test_single_failure_recovers_identically(self, social_db):
         ref = social_db.execute(QUERY.format("LR"))[0].subgraph
         inj = FaultInjector(seed=3, kill_schedule={0: [2]})
-        cluster = Cluster(social_db.db, 4, social_db.catalog, replication=2,
-                          fault_injector=inj)
-        result = cluster.execute(QUERY.format("DR"))[0]
+        server = Server(backend=social_db.db, workers=4,
+                        cluster_opts={"replication": 2, "fault_injector": inj})
+        cluster = server.cluster
+        result = server.submit("admin", QUERY.format("DR"))[0]
         assert not result.degraded
         assert subgraphs_equal(ref, result.subgraph)
         assert result.recovery["failovers"] == 1
@@ -122,9 +124,9 @@ class TestClusterRecovery:
     def test_two_nonadjacent_failures_recover(self, social_db):
         ref = social_db.execute(QUERY.format("LR2"))[0].subgraph
         inj = FaultInjector(seed=3, kill_schedule={0: [0], 1: [2]})
-        cluster = Cluster(social_db.db, 4, social_db.catalog, replication=2,
-                          fault_injector=inj)
-        result = cluster.execute(QUERY.format("DR2"))[0]
+        server = Server(backend=social_db.db, workers=4,
+                        cluster_opts={"replication": 2, "fault_injector": inj})
+        result = server.submit("admin", QUERY.format("DR2"))[0]
         assert not result.degraded
         assert subgraphs_equal(ref, result.subgraph)
         assert result.recovery["failovers"] == 2
@@ -132,9 +134,10 @@ class TestClusterRecovery:
     def test_drops_retried_transparently(self, social_db):
         ref = social_db.execute(QUERY.format("LD"))[0].subgraph
         inj = FaultInjector(seed=11, drop_prob=0.25)
-        cluster = Cluster(social_db.db, 4, social_db.catalog, replication=2,
-                          fault_injector=inj, max_retries=30)
-        result = cluster.execute(QUERY.format("DD"))[0]
+        server = Server(backend=social_db.db, workers=4,
+                        cluster_opts={"replication": 2, "fault_injector": inj,
+                                      "max_retries": 30})
+        result = server.submit("admin", QUERY.format("DD"))[0]
         assert not result.degraded
         assert subgraphs_equal(ref, result.subgraph)
         if inj.stats.drops:
@@ -144,49 +147,56 @@ class TestClusterRecovery:
     def test_unreplicated_failure_degrades_with_same_answer(self, social_db):
         ref = social_db.execute(QUERY.format("LU"))[0].subgraph
         inj = FaultInjector(seed=3, kill_schedule={0: [1]})
-        cluster = Cluster(social_db.db, 4, social_db.catalog, fault_injector=inj)
-        result = cluster.execute(QUERY.format("DU"))[0]
+        server = Server(backend=social_db.db, workers=4,
+                        cluster_opts={"fault_injector": inj})
+        cluster = server.cluster
+        result = server.submit("admin", QUERY.format("DU"))[0]
         assert result.degraded
         assert "WorkerFailed" in result.degraded_reason
         assert subgraphs_equal(ref, result.subgraph)
         assert cluster.degraded_statements == 1
 
     def test_timeout_degrades(self, social_db):
-        cluster = Cluster(social_db.db, 3, social_db.catalog)
-        result = cluster.execute(QUERY.format("DT"), timeout_s=0.0)[0]
+        server = Server(backend=social_db.db, workers=3)
+        result = server.submit("admin", QUERY.format("DT"), timeout_s=0.0)[0]
         assert result.degraded
         assert "QueryTimeout" in result.degraded_reason
         assert result.subgraph.num_vertices > 0
 
     def test_degraded_mode_raises_when_fallback_disabled(self, social_db):
         inj = FaultInjector(seed=3, kill_schedule={0: [1]})
-        cluster = Cluster(social_db.db, 4, social_db.catalog,
-                          fault_injector=inj, allow_degraded=False)
+        server = Server(backend=social_db.db, workers=4,
+                        cluster_opts={"fault_injector": inj,
+                                      "allow_degraded": False})
         with pytest.raises(DegradedMode):
-            cluster.execute(QUERY.format("DX"))
+            server.submit("admin", QUERY.format("DX"))
 
     def test_breaker_opens_after_repeated_failures(self, social_db):
         # every statement re-kills nothing (worker stays dead, partition
         # lost with k=1) -> consecutive fatal failures trip the breaker
         inj = FaultInjector(seed=3, kill_schedule={0: [1]})
-        cluster = Cluster(social_db.db, 4, social_db.catalog, fault_injector=inj)
+        server = Server(backend=social_db.db, workers=4,
+                        cluster_opts={"fault_injector": inj})
+        cluster = server.cluster
         for i in range(3):
-            r = cluster.execute(QUERY.format(f"DB{i}"))[0]
+            r = server.submit("admin", QUERY.format(f"DB{i}"))[0]
             assert r.degraded
         assert cluster.breaker.state == OPEN
         # breaker open: no distributed attempt, still correct answers
-        r = cluster.execute(QUERY.format("DB9"))[0]
+        r = server.submit("admin", QUERY.format("DB9"))[0]
         assert r.degraded and r.degraded_reason == "circuit breaker open"
         assert cluster.degraded_statements == 4
 
     def test_heal_restores_distributed_service(self, social_db):
         inj = FaultInjector(seed=3, kill_schedule={0: [1]})
-        cluster = Cluster(social_db.db, 4, social_db.catalog, fault_injector=inj,
-                          breaker=CircuitBreaker(failure_threshold=1))
-        assert cluster.execute(QUERY.format("DH0"))[0].degraded
+        server = Server(backend=social_db.db, workers=4,
+                        cluster_opts={"fault_injector": inj,
+                                      "breaker": CircuitBreaker(failure_threshold=1)})
+        cluster = server.cluster
+        assert server.submit("admin", QUERY.format("DH0"))[0].degraded
         assert cluster.breaker.state == OPEN
         cluster.heal()
-        result = cluster.execute(QUERY.format("DH1"))[0]
+        result = server.submit("admin", QUERY.format("DH1"))[0]
         assert not result.degraded
         assert cluster.breaker.state == CLOSED
 
@@ -207,8 +217,6 @@ class TestClusterRecovery:
 
 class TestServerDegradation:
     def test_server_counts_degraded_statements(self, social_db):
-        from repro import Server
-
         inj = FaultInjector(seed=3, kill_schedule={0: [1]})
         server = Server(backend=social_db.db, workers=4,
                         cluster_opts={"fault_injector": inj})
@@ -217,8 +225,6 @@ class TestServerDegradation:
         assert server.degraded_statements == 1
 
     def test_server_survives_failure_with_replication(self, social_db):
-        from repro import Server
-
         inj = FaultInjector(seed=3, kill_schedule={0: [1]})
         server = Server(backend=social_db.db, workers=4,
                         cluster_opts={"replication": 2, "fault_injector": inj})

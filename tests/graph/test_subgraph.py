@@ -46,13 +46,6 @@ class TestAlgebra:
         b = sg(v={"A": [2]})
         assert a.union(b) == b.union(a)
 
-    def test_intersect_vertices(self):
-        a = sg(v={"A": [1, 2, 3], "B": [5]})
-        b = sg(v={"A": [2, 3, 4]})
-        i = a.intersect_vertices(b)
-        assert i.vertex_ids("A").tolist() == [2, 3]
-        assert not i.has_vertex_type("B")
-
     def test_equality(self):
         assert sg(v={"A": [1, 2]}) == sg(v={"A": [2, 1]})
         assert sg(v={"A": [1]}) != sg(v={"A": [2]})

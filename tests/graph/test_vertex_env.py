@@ -1,34 +1,4 @@
-"""Vertex expression environments and scalar-access paths."""
-
-import numpy as np
-import pytest
-
-from repro.errors import TypeCheckError
-from repro.graql.parser import parse_expression
-from repro.storage.expr import evaluate_predicate
-
-
-class TestEnvFor:
-    def test_unqualified_and_own_type(self, social_db):
-        vt = social_db.db.vertex_type("Person")
-        vids = np.asarray([0, 1, 2], dtype=np.int64)
-        env = vt.env_for(vids)
-        mask = evaluate_predicate(parse_expression("age > 30"), env)
-        assert mask.tolist() == [True, False, True]
-        mask2 = evaluate_predicate(parse_expression("Person.age > 30"), env)
-        assert mask2.tolist() == mask.tolist()
-
-    def test_extra_qualifier_names(self, social_db):
-        vt = social_db.db.vertex_type("Person")
-        env = vt.env_for(np.asarray([0], dtype=np.int64), ("alias1",))
-        mask = evaluate_predicate(parse_expression("alias1.age > 30"), env)
-        assert mask.tolist() == [True]
-
-    def test_unknown_qualifier_rejected(self, social_db):
-        vt = social_db.db.vertex_type("Person")
-        env = vt.env_for(np.asarray([0], dtype=np.int64))
-        with pytest.raises(TypeCheckError):
-            evaluate_predicate(parse_expression("Other.age > 30"), env)
+"""Vertex scalar-access paths."""
 
 
 class TestScalarAccess:

@@ -51,13 +51,13 @@ class TestScaleSmoke:
         assert len(sg.vertex_ids("TypeVtx")) == tv.num_vertices
 
     def test_distributed_matches_at_scale(self, big_db):
-        from repro.dist import Cluster
+        from repro import Server
 
         q = ("select * from graph OfferVtx (deliveryDays < 3) --product--> "
              "ProductVtx ( ) into subgraph {}")
         ref = big_db.execute(q.format("bl"))[0].subgraph
-        cluster = Cluster(big_db.db, 8, big_db.catalog)
-        got = cluster.execute(q.format("bd"))[0].subgraph
+        server = Server(backend=big_db.db, workers=8)
+        got = server.submit("admin", q.format("bd"))[0].subgraph
         assert {k: v.tolist() for k, v in ref.vertices.items()} == {
             k: v.tolist() for k, v in got.vertices.items()
         }

@@ -106,20 +106,6 @@ class TestRemovedKwargs:
                 force_direction="forward",
             )
 
-    def test_executor_level_raises(self, social_db):
-        from repro.graql.parser import parse_script
-        from repro.query.executor import execute_statement
-
-        stmt = parse_script(
-            "select * from graph Person ( ) --follows--> Person ( ) "
-            "into subgraph SHX"
-        ).statements[0]
-        with pytest.raises(TypeError, match=REMOVED.format("direction")):
-            execute_statement(
-                social_db.db, social_db.catalog, stmt,
-                force_direction="forward",
-            )
-
     def test_server_submit_raises(self):
         from repro.engine.server import Server
 

@@ -3,7 +3,7 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.dist import Cluster
+from repro import Server
 from repro.dist.comm import Communicator
 from repro.dist.dist_relops import dist_group_by_aggregate
 from repro.dtypes import INTEGER, VarChar
@@ -52,8 +52,8 @@ def test_cluster_equals_single_node(seed, qidx, workers):
     db.execute(SETUP)
     q = QUERIES[qidx]
     ref = db.execute(q.format("L"))[0].subgraph
-    cluster = Cluster(db.db, workers, db.catalog)
-    result = cluster.execute(q.format("D"))[0]
+    server = Server(backend=db.db, workers=workers)
+    result = server.submit("admin", q.format("D"))[0]
     assert result.profile.dist is not None  # swept on the cluster, no fallback
     assert ref == result.subgraph  # Subgraph equality: vertices and edges
 

@@ -14,7 +14,8 @@ Two properties pin down the fault model (docs/RELIABILITY.md):
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.dist import Cluster, FaultInjector
+from repro import Server
+from repro.dist import FaultInjector
 from tests.conftest import random_graph_db
 
 QUERIES = [
@@ -51,10 +52,11 @@ def test_single_failure_equals_single_node_oracle(
     inj = FaultInjector(
         seed=seed, kill_schedule={kill_step: [victim % workers]}
     )
-    cluster = Cluster(
-        db.db, workers, db.catalog, replication=2, fault_injector=inj
+    server = Server(
+        backend=db.db, workers=workers,
+        cluster_opts={"replication": 2, "fault_injector": inj},
     )
-    result = cluster.execute(q.format("D"))[0]
+    result = server.submit("admin", q.format("D"))[0]
     assert not result.degraded  # k=2 survives any single fail-stop
     assert _canon(ref) == _canon(result.subgraph)
     if inj.stats.kills:
@@ -72,11 +74,11 @@ def test_drops_and_delays_preserve_oracle_equality(seed, qidx, workers):
     q = QUERIES[qidx]
     ref = db.execute(q.format("L"))[0].subgraph
     inj = FaultInjector(seed=seed, drop_prob=0.1, delay_prob=0.2)
-    cluster = Cluster(
-        db.db, workers, db.catalog, replication=2,
-        fault_injector=inj, max_retries=50,
+    server = Server(
+        backend=db.db, workers=workers,
+        cluster_opts={"replication": 2, "fault_injector": inj, "max_retries": 50},
     )
-    result = cluster.execute(q.format("D"))[0]
+    result = server.submit("admin", q.format("D"))[0]
     assert not result.degraded
     assert _canon(ref) == _canon(result.subgraph)
 
@@ -96,17 +98,17 @@ def test_same_seed_same_faults_same_result(seed, qidx, workers):
             seed=seed, kill_prob=0.2, drop_prob=0.1, delay_prob=0.2,
             max_kills=1,
         )
-        cluster = Cluster(
-            db.db, workers, db.catalog, replication=2,
-            fault_injector=inj, max_retries=50,
+        server = Server(
+            backend=db.db, workers=workers,
+            cluster_opts={"replication": 2, "fault_injector": inj, "max_retries": 50},
         )
-        result = cluster.execute(q.format(tag))[0]
+        result = server.submit("admin", q.format(tag))[0]
         runs.append(
             (
                 _canon(result.subgraph),
                 inj.stats.snapshot(),
                 result.recovery,
-                cluster.comm_stats(),
+                server.cluster.comm_stats(),
             )
         )
     (sub_a, faults_a, rec_a, comm_a), (sub_b, faults_b, rec_b, comm_b) = runs

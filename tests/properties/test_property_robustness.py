@@ -54,7 +54,7 @@ def test_lexer_never_crashes(text):
 @settings(max_examples=150, deadline=None)
 def test_checked_statements_execute_or_reject(stmt):
     """Anything the checker accepts must execute without internal errors."""
-    from repro.query.executor import execute_statement
+    from repro.query.executor import execute_checked
 
     db = build_social_db()
     try:
@@ -64,6 +64,6 @@ def test_checked_statements_execute_or_reject(stmt):
     # DDL statements may collide with existing names at execution; queries
     # may hit runtime guards — all must surface as GraQLError only
     try:
-        execute_statement(db.db, db.catalog, stmt)
+        execute_checked(db.db, db.catalog, checked)
     except GraQLError:
         pass

@@ -118,10 +118,11 @@ class TestExecution:
             assert vt.key_of(s)[0] in {"p1", "p6", "p5"} or True
 
     def test_cluster_falls_back_for_edge_labels(self, social_db):
-        from repro.dist import Cluster
+        from repro import Server
 
-        cluster = Cluster(social_db.db, 2, social_db.catalog)
-        r = cluster.execute(
+        server = Server(backend=social_db.db, workers=2)
+        r = server.submit(
+            "admin",
             "select f from graph Person ( ) --def f: follows--> Person ( ) "
             "into subgraph EL"
         )[0]

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import Server
 from repro.errors import CatalogError, ExecutionError
+from repro.obs import QueryOptions
 
 
 class TestDDLExecution:
@@ -78,6 +80,41 @@ class TestGraphToSubgraph:
         assert sorted(r[0] for r in t.to_rows()) == ["p1", "p2"]
 
 
+PATH_DDL = """
+create table N(id varchar(4))
+create table E(src varchar(4), dst varchar(4))
+create vertex V(id) from table N
+create edge e with vertices (V as A, V as B) from table E
+where E.src = A.id and E.dst = B.id
+"""
+
+
+def path_server(workers=None):
+    """A server over the 21-vertex path n00 -> n01 -> ... -> n20."""
+    names = [f"n{i:02d}" for i in range(21)]
+    server = Server(workers=workers)
+    server.submit("admin", PATH_DDL)
+    server.backend.ingest_rows("N", [(n,) for n in names])
+    server.backend.ingest_rows("E", list(zip(names, names[1:])))
+    server.catalog.refresh(server.backend)
+    if server.cluster is not None:
+        server.cluster.rebuild()
+    return server
+
+
+def label_chain(k: int, name: str) -> str:
+    """k atoms chained by labels, ending at the path's last vertex: only
+    the k+1 vertices n(20-k)..n20 lie on a match."""
+    atoms = ["V ( ) --e--> def x1: V ( )"]
+    atoms += [f"x{i} --e--> def x{i + 1}: V ( )" for i in range(1, k - 1)]
+    atoms.append(f"x{k - 1} --e--> V (id = 'n20')")
+    return f"select * from graph {' and '.join(atoms)} into subgraph {name}"
+
+
+def _ids(subgraph) -> list[int]:
+    return sorted(subgraph.vertex_ids("V").tolist())
+
+
 class TestAndComposition:
     def test_set_refinement_propagates(self, social_db):
         # US people who follow someone AND live in a big city; the and-arm
@@ -106,6 +143,28 @@ class TestAndComposition:
             assert p.attributes_of(vid)["country"] == c.attributes_of(
                 c.vid_of((city,))
             )["country"]
+
+    # a constraint at the end of a long label chain must reach the first
+    # atom: set refinement runs to its fixpoint
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_label_chain_set_matches_bindings(self, k):
+        server = path_server()
+        got = {
+            strategy: _ids(server.submit(
+                "admin", label_chain(k, f"S{strategy}"),
+                options=QueryOptions(strategy=strategy),
+            )[0].subgraph)
+            for strategy in ("set", "bindings")
+        }
+        assert got["set"] == got["bindings"]
+        assert len(got["set"]) == k + 1
+
+    def test_label_chain_on_cluster(self):
+        ref = _ids(path_server().submit("admin", label_chain(6, "L"))[0].subgraph)
+        result = path_server(workers=3).submit("admin", label_chain(6, "D"))[0]
+        assert result.profile.dist is not None  # swept on the cluster
+        assert _ids(result.subgraph) == ref
+        assert len(ref) == 7
 
 
 class TestOrComposition:

@@ -18,7 +18,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.dist import Cluster
+from repro import Server
 from repro.workloads.berlin import berlin_database
 
 PERF_DIR = os.path.join(
@@ -80,8 +80,8 @@ def test_single_node_statements_make_no_numpy_set_calls(perf_workloads, numpy_se
 
 def test_cluster_statements_make_no_numpy_set_calls(perf_workloads, numpy_set_calls):
     with berlin_database(scale=SCALE, seed=7) as bd:
-        cluster = Cluster(bd.db, 3, bd.catalog)
+        server = Server(backend=bd.db, workers=3)
         for name, source, params in _statements(perf_workloads):
             if name in perf_workloads.POINT_QUERIES:
-                cluster.execute(source, params)
+                server.submit("admin", source, params)
     assert dict(numpy_set_calls) == {}

@@ -85,13 +85,6 @@ class TestPlanCache:
         cache.invalidate()
         assert len(cache) == 0
 
-    def test_drop_stale_by_epoch(self):
-        cache = PlanCache(capacity=8)
-        cache.store(cache.key("a", None, 0), ["a"])
-        cache.store(cache.key("b", None, 1), ["b"])
-        assert cache.drop_stale(current_epoch=1) == 1
-        assert cache.lookup(cache.key("b", None, 1)) is not None
-
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
             PlanCache(capacity=0)

@@ -10,7 +10,7 @@ the same profile stages.  Counting only, no timing:
 * a script re-checks a statement only after an earlier one of the same
   script moved the catalog epoch;
 * on a cluster backend each statement is encoded, verified and decoded
-  exactly once;
+  exactly once, and checked no more often than on one node;
 * stage names are the same on every adapter (prepared statements have
   no ``parse``; a plan-cache hit is a single ``cache`` stage);
 * ``Database.execute_pipelined`` does the front-end work of
@@ -278,6 +278,9 @@ CLUSTER_SCRIPT = (
 def test_cluster_ships_each_statement_once(cluster, tally, adapter):
     shipped = cluster.server.ir_bytes_shipped
     _run(cluster, tally, adapter, CLUSTER_SCRIPT, SELECT_PARAMS)
+    # the backend runs the front end's resolutions: two script-level
+    # checks, plus one re-check after `into subgraph G` moves the epoch
+    assert tally.calls["check"] == 3
     assert tally.ir_calls == (2, 2, 2)
     assert cluster.server.ir_bytes_shipped > shipped
     for stages in tally.stages:
